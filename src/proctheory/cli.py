@@ -75,11 +75,21 @@ def cmd_parse(args):
     return code
 
 
-def _typecheck_or_report(parsed, name, d, theory, strict, path):
+def _typecheck_or_report(d, theory, strict, path):
     violations = dlang.typecheck(d, compact=theory.compact, strict_orientation=strict)
     for v in violations:
         print(v.format(path), file=sys.stderr)
     return not violations
+
+
+def _targets(args, parsed):
+    """Diagrams named by ``--diagram`` (all when absent), or None after a diagnostic."""
+    if not args.diagram:
+        return list(parsed.diagrams)
+    if args.diagram not in parsed.diagrams:
+        print(f"{args.file}: no diagram named {args.diagram!r}", file=sys.stderr)
+        return None
+    return [args.diagram]
 
 
 def cmd_eval(args):
@@ -94,14 +104,13 @@ def cmd_eval(args):
     except dlang.SemanticError as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE
-    targets = [args.diagram] if args.diagram else list(parsed.diagrams)
+    targets = _targets(args, parsed)
+    if targets is None:
+        return EXIT_PARSE
     ok = True
     for name in targets:
-        if name not in parsed.diagrams:
-            print(f"{args.file}: no diagram named {name!r}", file=sys.stderr)
-            return EXIT_PARSE
         d = parsed.diagrams[name]
-        if not _typecheck_or_report(parsed, name, d, theory, args.strict_orientation, args.file):
+        if not _typecheck_or_report(d, theory, args.strict_orientation, args.file):
             ok = False
             continue
         _print_process(name, dlang.evaluate(d, env, tol))
@@ -112,10 +121,7 @@ def _resolve_target(parsed, env, directive, theory, strict, tol, path):
     """Target of a check directive: an evaluated diagram or a box process."""
     if directive.target in parsed.diagrams:
         d = parsed.diagrams[directive.target]
-        violations = dlang.typecheck(d, compact=theory.compact, strict_orientation=strict)
-        if violations:
-            for v in violations:
-                print(v.format(path), file=sys.stderr)
+        if not _typecheck_or_report(d, theory, strict, path):
             return None
         return dlang.evaluate(d, env, tol)
     return env[directive.target]
@@ -133,11 +139,17 @@ def cmd_check(args):
         print(exc, file=sys.stderr)
         return EXIT_PARSE
 
-    rep_in = rep_out = None
-    if args.rep_in:
-        rep_in = groups.load_representation(args.rep_in)
-    if args.rep_out:
-        rep_out = groups.load_representation(args.rep_out)
+    reps = []
+    for path in (args.rep_in, args.rep_out):
+        try:
+            reps.append(groups.load_representation(path) if path else None)
+        except OSError as exc:
+            print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except ValueError as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+    rep_in, rep_out = reps
 
     had_typecheck_failure = False
     all_pass = True
@@ -205,11 +217,13 @@ def cmd_quotient(args):
         print(exc, file=sys.stderr)
         return EXIT_PARSE
     theory = theory_by_name("qcalc")
-    targets = [args.diagram] if args.diagram else list(parsed.diagrams)
+    targets = _targets(args, parsed)
+    if targets is None:
+        return EXIT_PARSE
     ok = True
     for name in targets:
         d = parsed.diagrams[name]
-        if not _typecheck_or_report(parsed, name, d, theory, args.strict_orientation, args.file):
+        if not _typecheck_or_report(d, theory, args.strict_orientation, args.file):
             ok = False
             continue
         f = dlang.evaluate(d, env, tol)

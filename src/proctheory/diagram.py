@@ -31,6 +31,7 @@ Diagnostics are rendered ``file:line:col: rule: message``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -643,22 +644,28 @@ def typecheck(diagram: Diagram, compact: bool, strict_orientation=False):
                     src, dst = w.b.node, w.a.node
                 if src is not None:
                     adj[src].add(dst)
+        # Depth-first search with an explicit stack of successor iterators, so
+        # long chains do not hit the interpreter's recursion limit.
         state = {name: 0 for name in order}  # 0 unvisited, 1 on stack, 2 done
-
-        def visit(u, path_):
-            state[u] = 1
-            for v in sorted(adj[u]):
-                if state[v] == 1:
-                    violations.append(Violation(
-                        "ii", f"wiring cycle through node {v!r}; the theory is acyclic-only",
-                        diagram.nodes[v].line, diagram.nodes[v].col))
-                elif state[v] == 0:
-                    visit(v, path_)
-            state[u] = 2
-
-        for name in order:
-            if state[name] == 0:
-                visit(name, [])
+        for root in order:
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, iter(sorted(adj[root])))]
+            while stack:
+                u, successors = stack[-1]
+                for v in successors:
+                    if state[v] == 1:
+                        violations.append(Violation(
+                            "ii", f"wiring cycle through node {v!r}; the theory is acyclic-only",
+                            diagram.nodes[v].line, diagram.nodes[v].col))
+                    elif state[v] == 0:
+                        state[v] = 1
+                        stack.append((v, iter(sorted(adj[v]))))
+                        break
+                else:
+                    state[u] = 2
+                    stack.pop()
 
     return violations
 
@@ -681,64 +688,78 @@ def _wire_dims(diagram: Diagram):
     return dims
 
 
-def _open_dim(members, diagram, dims):
-    """Product of dims of wires crossing the component boundary (boundary wires included)."""
-    d = 1
-    for w in diagram.wires:
-        a_in = (not w.a.is_boundary()) and w.a.node in members
-        b_in = (not w.b.is_boundary()) and w.b.node in members
-        if a_in != b_in:
-            d *= dims[w]
-    return d
-
-
 def plan(diagram: Diagram, order=None):
     """Greedy contraction order minimising the largest intermediate dimension.
 
-    Ties break on the lowest node index. ``order`` forces an explicit merge
-    sequence (pairs of component representatives) instead.
+    Each step merges the connected pair of components whose union has the
+    smallest open dimension (product of the dims of the wires crossing its
+    boundary, boundary wires included); ties break on the lowest component
+    representatives. With no connected pair left, the two lowest
+    representatives merge as an outer product. ``order`` forces an explicit
+    merge sequence (pairs of component representatives) instead; once it runs
+    out, the greedy order finishes the plan.
+
+    Per component the planner keeps its open dimension and, per neighbouring
+    component, the product of the dims of the wires between them, so a merge
+    costs ``open[i] * open[j] // shared**2``. Candidate pairs sit in a heap
+    ordered by ``(cost, i, j)``; entries made stale by a merge are dropped when
+    they reach the top. Planning costs O(merges * degree * log n).
     """
     names = diagram.node_order()
     if len(names) < 2:
         return ContractionPlan([])
-    dims = _wire_dims(diagram)
     index = {n: i for i, n in enumerate(names)}
-    comps = {i: {names[i]} for i in range(len(names))}
+    open_ = [1] * len(names)  # indexed by representative; live ones are keys of nbr
+    nbr = {i: {} for i in range(len(names))}  # rep -> {neighbour rep: shared dim}
+    dims = _wire_dims(diagram)
+    for w in diagram.wires:
+        d = dims[w]
+        a = None if w.a.is_boundary() else index[w.a.node]
+        b = None if w.b.is_boundary() else index[w.b.node]
+        if a == b:  # self-loop, or boundary to boundary
+            continue
+        for k in (a, b):
+            if k is not None:
+                open_[k] *= d
+        if a is not None and b is not None:
+            nbr[a][b] = nbr[b][a] = nbr[a].get(b, 1) * d
 
-    def connected(i, j):
-        for w in diagram.wires:
-            if w.a.is_boundary() or w.b.is_boundary():
-                continue
-            ends = {w.a.node, w.b.node}
-            if ends & comps[i] and ends & comps[j]:
-                return True
-        return False
+    def cost(i, j):
+        return open_[i] * open_[j] // nbr[i].get(j, 1) ** 2
+
+    heap = [(cost(i, j), i, j) for i in nbr for j in nbr[i] if i < j]
+    heapq.heapify(heap)
+    second = 1  # lowest live representative after 0, which never dies
 
     steps = []
-    forced = list(order) if order is not None else None
-    while len(comps) > 1:
-        if forced:
-            i, j = forced.pop(0)
-            if i not in comps or j not in comps:
-                raise ValueError(f"invalid forced merge ({i}, {j}); live components: {sorted(comps)}")
-            best = (min(i, j), max(i, j))
-            cost = _open_dim(comps[best[0]] | comps[best[1]], diagram, dims)
+    forced = iter(order if order is not None else ())
+    for _ in range(len(names) - 1):
+        pair = next(forced, None)
+        if pair is not None:
+            i, j = pair
+            if i == j or i not in nbr or j not in nbr:
+                raise ValueError(f"invalid forced merge ({i}, {j}); live components: {sorted(nbr)}")
+            i, j = min(i, j), max(i, j)
         else:
-            candidates = []
-            reps = sorted(comps)
-            pairs = [
-                (i, j) for ai, i in enumerate(reps) for j in reps[ai + 1 :] if connected(i, j)
-            ]
-            if not pairs:  # disconnected remainder: outer products
-                pairs = [(reps[0], reps[1])]
-            for i, j in pairs:
-                cost = _open_dim(comps[i] | comps[j], diagram, dims)
-                candidates.append((cost, i, j))
-            cost, i, j = min(candidates)
-            best = (i, j)
-        steps.append((best[0], best[1], cost))
-        comps[best[0]] = comps[best[0]] | comps[best[1]]
-        del comps[best[1]]
+            while heap:
+                c, i, j = heapq.heappop(heap)
+                if i in nbr and j in nbr and c == cost(i, j):
+                    break
+            else:  # disconnected remainder: outer products
+                while second not in nbr:
+                    second += 1
+                i, j = 0, second
+        c = cost(i, j)
+        steps.append((i, j, c))
+        # fold j into i: j's neighbours become i's, sharing both sets of wires
+        nbr[i].pop(j, None)
+        for k, d in nbr.pop(j).items():
+            if k != i:
+                del nbr[k][j]
+                nbr[i][k] = nbr[k][i] = nbr[k].get(i, 1) * d
+        open_[i] = c
+        for k in nbr[i]:
+            heapq.heappush(heap, (cost(i, k), min(i, k), max(i, k)))
     return ContractionPlan(steps)
 
 
@@ -763,6 +784,22 @@ def _boundary_ports(diagram: Diagram, side):
     return sorted(ports, key=lambda p: p.index)
 
 
+def _einsum(*operands):
+    """``np.einsum`` in interleaved form, with the labels renumbered for this call.
+
+    Evaluation labels wire ``w`` with ket ``2w`` and bra ``2w + 1``, and numpy
+    accepts only 52 distinct subscripts per call. Renumbering from 0 on each
+    call keeps diagrams of any number of wires within that bound; only the
+    legs of one contraction count.
+    """
+    local = {}
+    args = [
+        [local.setdefault(label, len(local)) for label in x] if k % 2 else x
+        for k, x in enumerate(operands[:-1])
+    ]
+    return np.einsum(*args, [local[label] for label in operands[-1]])
+
+
 def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=None):
     """Contract a typechecked diagram to a single ProcessTensor.
 
@@ -777,7 +814,6 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
     for wi, w in enumerate(diagram.wires):
         for p in (w.a, w.b):
             wire_of_port[p] = wi
-    label_dim = {}
 
     tensors = {}
     for ni, name in enumerate(names):
@@ -793,16 +829,14 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
             Port(name, "out", k) for k in range(len(dims_out))
         ]
         kets, bras = [], []
-        for p, d in zip(ports, dims_in + dims_out):
+        for p in ports:
             wi = wire_of_port[p]
             kets.append(2 * wi)
             bras.append(2 * wi + 1)
-            label_dim[2 * wi] = d
-            label_dim[2 * wi + 1] = d
         subs = kets + bras
         # contract self-loops (labels occurring twice) right away
         out_subs = sorted(l for l in set(subs) if subs.count(l) == 1)
-        t = np.einsum(t, subs, out_subs)
+        t = _einsum(t, subs, out_subs)
         tensors[ni] = (out_subs, t)
 
     if not names:
@@ -815,7 +849,7 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
             subs_b, tb = comps[b]
             shared = set(subs_a) & set(subs_b)
             out_subs = sorted((set(subs_a) | set(subs_b)) - shared)
-            merged = np.einsum(ta, subs_a, tb, subs_b, out_subs)
+            merged = _einsum(ta, subs_a, tb, subs_b, out_subs)
             comps[min(a, b)] = (out_subs, merged)
             del comps[max(a, b)]
         if len(comps) != 1:
@@ -844,7 +878,7 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
     want = kets + bras
     if sorted(want) != sorted(result_labels):
         raise ValueError("evaluation did not leave exactly the boundary wires open")
-    final = np.einsum(result, result_labels, want) if want else result
+    final = _einsum(result, result_labels, want) if want else result
     s_in = SystemType(tuple(in_factors))
     s_out = SystemType(tuple(out_factors))
     side = s_in.total_dim * s_out.total_dim

@@ -144,3 +144,38 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PROCTHEORY_TOL_EQ", "1e-3")
     code2, out2, _ = run(capsys, "check", p)
     assert code2 == 0
+
+
+def test_quotient_unknown_diagram_exit_2(capsys):
+    path = GOOD / "snake.pd"
+    code, out, err = run(capsys, "quotient", path, "--diagram", "Missing")
+    assert code == 2 and out == ""
+    assert err.strip() == f"{path}: no diagram named 'Missing'"
+
+
+def test_check_bad_rep_file_exit_2(tmp_path, capsys):
+    target = GOOD / "snake.pd"
+    missing = tmp_path / "missing.grp"
+    code, _, err = run(capsys, "check", target, "--rep-in", missing, "--rep-out", missing)
+    assert code == 2
+    assert err.strip() == f"{missing}: No such file or directory"
+    short = tmp_path / "short.grp"
+    short.write_text("2 0\n0 1\n")
+    code, _, err = run(capsys, "check", target, "--rep-in", short, "--rep-out", short)
+    assert code == 2
+    assert err.strip() == f"{short}: representation file ended early"
+
+
+def test_eval_long_chain_file(tmp_path, capsys):
+    # maxmix -> 1998 identities -> discard: no planner, recursion or einsum-label limit on the way
+    n = 2000
+    ends = ["a"] + [f"i{k}" for k in range(n - 2)] + ["z"]
+    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box w : q -> q = id",
+             "box tr : q -> = discard", "diagram Chain {", "  node a : mu"]
+    lines += [f"  node i{k} : w" for k in range(n - 2)] + ["  node z : tr"]
+    lines += [f"  wire {x}.out[0] -> {y}.in[0]" for x, y in zip(ends, ends[1:])] + ["}"]
+    p = tmp_path / "chain.pd"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "eval", p, "--theory", "qphys")
+    assert (code, err) == (0, "")
+    assert out == "Chain: scalar 1.0\n"

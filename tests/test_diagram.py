@@ -121,13 +121,66 @@ def test_bad_choi_literal_is_semantic_error():
 # Planning
 
 
-def chain_diagram(n_boxes):
+def chain_diagram(n_boxes, cycle=False):
+    """Identities in series on Q(2), open at both ends or closed into a cycle."""
     lines = ["system q = Q(2)", "box w : q -> q = id", "diagram Chain {"]
     lines += [f"  node n{i}: w" for i in range(n_boxes)]
-    lines += ["  wire bound.in[0] -> n0.in[0]"]
     lines += [f"  wire n{i}.out[0] -> n{i + 1}.in[0]" for i in range(n_boxes - 1)]
-    lines += [f"  wire n{n_boxes - 1}.out[0] -> bound.out[0]", "}"]
-    return D.parse("\n".join(lines))
+    if cycle:
+        lines += [f"  wire n{n_boxes - 1}.out[0] -> n0.in[0]"]
+    else:
+        lines += ["  wire bound.in[0] -> n0.in[0]", f"  wire n{n_boxes - 1}.out[0] -> bound.out[0]"]
+    return D.parse("\n".join(lines + ["}"]))
+
+
+def closed_chain(n):
+    """maxmix -> (n - 2) identities -> discard on Q(2); a channel closed by discard: value 1."""
+    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box w : q -> q = id",
+             "box tr : q -> = discard", "diagram Chain {", "  node a: mu"]
+    lines += [f"  node n{i}: w" for i in range(n - 2)]
+    lines += ["  node z: tr"]
+    ends = ["a"] + [f"n{i}" for i in range(n - 2)] + ["z"]
+    lines += [f"  wire {x}.out[0] -> {y}.in[0]" for x, y in zip(ends, ends[1:])]
+    return D.parse("\n".join(lines + ["}"])).diagrams["Chain"]
+
+
+def snake_ladder(snakes):
+    """``snakes`` cup/cap zig-zags in series on Q(2); by the snake equation, the identity."""
+    lines = ["system q = Q(2)", "box u : -> q * dual(q) = cup", "box e : q * dual(q) -> = cap",
+             "diagram Ladder {"]
+    wires, src = [], "bound.in[0]"
+    for k in range(snakes):
+        lines += [f"  node c{k}: u", f"  node k{k}: e"]
+        wires += [f"  wire {src} -> k{k}.in[0]", f"  wire c{k}.out[1] -> k{k}.in[1]"]
+        src = f"c{k}.out[0]"
+    wires.append(f"  wire {src} -> bound.out[0]")
+    return D.parse("\n".join(lines + wires + ["}"])).diagrams["Ladder"]
+
+
+def brick_circuit(layers, width=4):
+    """Swaps in a brick pattern on ``width`` Q(2) lines, opened by maxmix and closed by discard."""
+    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box g : q * q -> q * q = swap",
+             "box tr : q -> = discard", "diagram Brick {"]
+    lines += [f"  node s{k}: mu" for k in range(width)]
+    wires, src = [], [f"s{k}.out[0]" for k in range(width)]
+    gate = 0
+    for layer in range(layers):
+        for top in range(layer % 2, width - 1, 2):
+            lines.append(f"  node g{gate}: g")
+            wires += [f"  wire {src[top]} -> g{gate}.in[0]", f"  wire {src[top + 1]} -> g{gate}.in[1]"]
+            src[top], src[top + 1] = f"g{gate}.out[0]", f"g{gate}.out[1]"
+            gate += 1
+    lines += [f"  node t{k}: tr" for k in range(width)]
+    wires += [f"  wire {src[k]} -> t{k}.in[0]" for k in range(width)]
+    return D.parse("\n".join(lines + wires + ["}"])).diagrams["Brick"]
+
+
+def pair_product(pairs):
+    """``pairs`` disconnected maxmix -> discard pairs on Q(2): only outer products join them."""
+    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box tr : q -> = discard", "diagram Pairs {"]
+    lines += [f"  node p{k}: mu\n  node f{k}: tr" for k in range(pairs)]
+    lines += [f"  wire p{k}.out[0] -> f{k}.in[0]" for k in range(pairs)]
+    return D.parse("\n".join(lines + ["}"])).diagrams["Pairs"]
 
 
 def test_chain_plan_has_pairwise_steps():
@@ -159,6 +212,72 @@ diagram Diamond {
 """
 
 
+def _open_dim(members, diagram, dims):
+    """Product of dims of wires crossing the component boundary (boundary wires included)."""
+    d = 1
+    for w in diagram.wires:
+        a_in = (not w.a.is_boundary()) and w.a.node in members
+        b_in = (not w.b.is_boundary()) and w.b.node in members
+        if a_in != b_in:
+            d *= dims[w]
+    return d
+
+
+def reference_plan(diagram, order=None):
+    """The rescanning greedy planner that ``D.plan`` replaced, kept as its oracle.
+
+    Every step rescans every wire for every candidate pair; the incremental
+    planner must reproduce its steps exactly, tie-break included.
+    """
+    names = diagram.node_order()
+    if len(names) < 2:
+        return D.ContractionPlan([])
+    dims = D._wire_dims(diagram)
+    comps = {i: {names[i]} for i in range(len(names))}
+
+    def connected(i, j):
+        for w in diagram.wires:
+            if w.a.is_boundary() or w.b.is_boundary():
+                continue
+            ends = {w.a.node, w.b.node}
+            if ends & comps[i] and ends & comps[j]:
+                return True
+        return False
+
+    steps = []
+    forced = list(order) if order is not None else None
+    while len(comps) > 1:
+        if forced:
+            i, j = forced.pop(0)
+            if i not in comps or j not in comps:
+                raise ValueError(f"invalid forced merge ({i}, {j}); live components: {sorted(comps)}")
+            best = (min(i, j), max(i, j))
+            cost = _open_dim(comps[best[0]] | comps[best[1]], diagram, dims)
+        else:
+            reps = sorted(comps)
+            pairs = [(i, j) for ai, i in enumerate(reps) for j in reps[ai + 1 :] if connected(i, j)]
+            if not pairs:  # disconnected remainder: outer products
+                pairs = [(reps[0], reps[1])]
+            cost, i, j = min((_open_dim(comps[i] | comps[j], diagram, dims), i, j) for i, j in pairs)
+            best = (i, j)
+        steps.append((best[0], best[1], cost))
+        comps[best[0]] = comps[best[0]] | comps[best[1]]
+        del comps[best[1]]
+    return D.ContractionPlan(steps)
+
+
+def random_order(diagram, rng):
+    """The merge order ``D.random_plan`` draws from ``rng``."""
+    live = list(range(len(diagram.nodes)))
+    order = []
+    while len(live) > 1:
+        i, j = sorted(rng.choice(len(live), size=2, replace=False))
+        a, b = live[i], live[j]
+        order.append((a, b))
+        live.remove(max(a, b))
+    return order
+
+
 def enumerate_orders(diagram):
     """All merge orders with their worst intermediate dimension (brute force)."""
     names = diagram.node_order()
@@ -174,7 +293,7 @@ def enumerate_orders(diagram):
                 merged = dict(comps)
                 merged[i] = comps[i] | comps[j]
                 del merged[j]
-                cost = D._open_dim(merged[i], diagram, dims)
+                cost = _open_dim(merged[i], diagram, dims)
                 for worst, steps in rec(merged):
                     yield max(cost, worst), [(i, j)] + steps
 
@@ -193,8 +312,67 @@ def test_diamond_plan_is_optimal():
     assert worst_possible > best  # a bad order would build a bigger intermediate
 
 
+def plan_corpus():
+    """Diagrams on which the planner must reproduce ``reference_plan`` step for step."""
+    cases = [(f"{path.name}:{name}", dg) for path in sorted(GOOD.glob("*.pd"))
+             for name, dg in D.parse_file(path).diagrams.items()]
+    cases += [(f"chain{n}", chain_diagram(n).diagrams["Chain"]) for n in (2, 3, 7, 40)]
+    cases += [("cycle12", chain_diagram(12, cycle=True).diagrams["Chain"]), ("closed40", closed_chain(40))]
+    cases += [(f"ladder{2 * k}", snake_ladder(k)) for k in (1, 3, 20)]
+    cases += [(f"brick{layers}", brick_circuit(layers)) for layers in (1, 5, 20)]
+    cases += [("pairs40", pair_product(20)), ("diamond", D.parse(DIAMOND).diagrams["Diamond"])]
+    return cases
+
+
+def test_plan_matches_reference_planner():
+    for label, dg in plan_corpus():
+        assert D.plan(dg).steps == reference_plan(dg).steps, label
+
+
+def test_forced_plan_matches_reference_planner():
+    for label, dg in plan_corpus():
+        for seed in (0, 1, 2):
+            order = random_order(dg, np.random.default_rng(seed))
+            forced = D.random_plan(dg, np.random.default_rng(seed)).steps
+            assert forced == reference_plan(dg, order=order).steps, (label, seed)
+            # a forced prefix, finished greedily
+            prefix = order[: len(order) // 2]
+            assert D.plan(dg, order=prefix).steps == reference_plan(dg, order=prefix).steps, (label, seed)
+
+
+def test_forced_merge_of_dead_component_raises():
+    dg = chain_diagram(4).diagrams["Chain"]
+    with pytest.raises(ValueError, match="invalid forced merge"):
+        D.plan(dg, order=[(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="invalid forced merge"):
+        D.plan(dg, order=[(2, 2)])
+
+
+def test_long_chains_typecheck_without_recursion_limit():
+    assert D.typecheck(chain_diagram(5000).diagrams["Chain"], compact=False) == []
+    cycle = D.typecheck(chain_diagram(5000, cycle=True).diagrams["Chain"], compact=False)
+    assert [v.rule for v in cycle] == ["ii"]
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
+
+
+def test_long_identity_chain_evaluates_to_one():
+    dg = closed_chain(200)
+    assert D.typecheck(dg, compact=False) == []
+    env = D.build_env(D.parse("system q = Q(2)\nbox mu : -> q = maxmix\nbox w : q -> q = id\n"
+                              "box tr : q -> = discard"))
+    assert P.as_scalar(D.evaluate(dg, env)).value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_long_snake_ladder_evaluates_to_identity():
+    dg = snake_ladder(20)
+    assert len(dg.nodes) == 40 and D.typecheck(dg, compact=True) == []
+    env = D.build_env(D.parse("system q = Q(2)\nbox u : -> q * dual(q) = cup\n"
+                              "box e : q * dual(q) -> = cap"))
+    bell = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])
+    assert np.max(np.abs(D.evaluate(dg, env).choi - bell)) < 1e-12
 
 
 def test_layout_invariance():
