@@ -35,9 +35,9 @@ def _fmt_complex(z):
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
-def _print_process(name, pt):
+def _print_process(name, pt, tol):
     if pt.input.is_trivial() and pt.output.is_trivial():
-        print(f"{name}: scalar {as_scalar(pt).value!r}")
+        print(f"{name}: scalar {as_scalar(pt, tol).value!r}")
         return
     print(f"{name}: process {pt.input} -> {pt.output} choi {pt.choi.shape[0]}x{pt.choi.shape[1]}")
     for row in pt.choi:
@@ -113,7 +113,7 @@ def cmd_eval(args):
         if not _typecheck_or_report(d, theory, args.strict_orientation, args.file):
             ok = False
             continue
-        _print_process(name, dlang.evaluate(d, env, tol))
+        _print_process(name, dlang.evaluate(d, env, tol), tol)
     return EXIT_OK if ok else EXIT_TYPECHECK
 
 
@@ -169,6 +169,15 @@ def cmd_check(args):
             had_typecheck_failure = True
             all_pass = False
             continue
+        ri = ro = None  # the loaded representations, on f's input and output
+        uses_reps = directive.prop == "intertwiner" or (directive.prop == "member" and theory is None)
+        if uses_reps and rep_in and rep_out:
+            try:
+                ri = groups.Representation(rep_in.group, f.input, rep_in.action)
+                ro = groups.Representation(rep_out.group, f.output, rep_out.action)
+            except ValueError as exc:
+                print(f"{label}: {exc}", file=sys.stderr)
+                return EXIT_PARSE
         if directive.prop == "causal":
             good, detail = is_causal(f, tol), ""
         elif directive.prop == "retrocausal":
@@ -176,15 +185,16 @@ def cmd_check(args):
         elif directive.prop == "unital":
             good, detail = preserves_max_mixed(f, tol), ""
         elif directive.prop == "member":
-            verdict = membership(theory, f, tol)
+            if theory is None:
+                verdict = groups.qpart_membership(f, ri, ro, tol=tol)
+            else:
+                verdict = membership(theory, f, tol)
             good = verdict.ok
             detail = "" if good else f" ({verdict})"
         elif directive.prop == "intertwiner":
-            if rep_in is None or rep_out is None:
+            if ri is None:
                 print(f"{label}: supply --rep-in and --rep-out files", file=sys.stderr)
                 return EXIT_PARSE
-            ri = groups.Representation(rep_in.group, f.input, rep_in.action)
-            ro = groups.Representation(rep_out.group, f.output, rep_out.action)
             good, detail = groups.is_intertwiner(f, ri, ro, tol), ""
         elif directive.prop == "nosignalling":
             verdict = groups.no_signalling(f, tol=tol)
@@ -230,7 +240,7 @@ def cmd_quotient(args):
         n = normalization_scalar(f).value
         cls = theories.canonical_rep(f, tol)
         print(f"{name}: N={n!r} zero={cls.is_zero_class(tol)}")
-        _print_process(f"{name} canonical", cls.canonical)
+        _print_process(f"{name} canonical", cls.canonical, tol)
     return EXIT_OK if ok else EXIT_TYPECHECK
 
 

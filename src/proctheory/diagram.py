@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, contract
 from .processes import ProcessTensor, cap as cap_gen, cup as cup_gen, discard as discard_gen
 from .processes import identity as id_gen, max_mixed, noise_state, swap as swap_gen
 from .systems import SystemType, TRIVIAL, WireFactor, CLASSICAL, QUANTUM, UP
@@ -518,7 +518,7 @@ def _build_box(decl: BoxDecl, path, tol):
         if not half.same_carrier(second):
             raise err(f"{g} halves do not match: {half} vs {second}")
         base = cup_gen(half, tol) if g == "cup" else cap_gen(half, tol)
-        return ProcessTensor(s_in, s_out, base.choi, tol)
+        return ProcessTensor._trusted(s_in, s_out, base.choi, tol)
     if g == "swap":
         m = len(s_in.factors)
         splits = [
@@ -531,7 +531,7 @@ def _build_box(decl: BoxDecl, path, tol):
         k = splits[0]
         a, b = SystemType(s_in.factors[:k]), SystemType(s_in.factors[k:])
         base = swap_gen(a, b, tol)
-        return ProcessTensor(s_in, s_out, base.choi, tol)
+        return ProcessTensor._trusted(s_in, s_out, base.choi, tol)
     raise err(f"unknown generator {g!r}")
 
 
@@ -784,22 +784,6 @@ def _boundary_ports(diagram: Diagram, side):
     return sorted(ports, key=lambda p: p.index)
 
 
-def _einsum(*operands):
-    """``np.einsum`` in interleaved form, with the labels renumbered for this call.
-
-    Evaluation labels wire ``w`` with ket ``2w`` and bra ``2w + 1``, and numpy
-    accepts only 52 distinct subscripts per call. Renumbering from 0 on each
-    call keeps diagrams of any number of wires within that bound; only the
-    legs of one contraction count.
-    """
-    local = {}
-    args = [
-        [local.setdefault(label, len(local)) for label in x] if k % 2 else x
-        for k, x in enumerate(operands[:-1])
-    ]
-    return np.einsum(*args, [local[label] for label in operands[-1]])
-
-
 def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=None):
     """Contract a typechecked diagram to a single ProcessTensor.
 
@@ -823,10 +807,8 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
         pt = env[node.box]
         if not (pt.input.same_carrier(node.s_in) and pt.output.same_carrier(node.s_out)):
             raise ValueError(f"process bound to box {node.box!r} does not match its declared type")
-        dims_in, dims_out = pt.input.dims, pt.output.dims
-        t = pt.choi.reshape(dims_in + dims_out + dims_in + dims_out)
-        ports = [Port(name, "in", k) for k in range(len(dims_in))] + [
-            Port(name, "out", k) for k in range(len(dims_out))
+        ports = [Port(name, "in", k) for k in range(len(pt.input.factors))] + [
+            Port(name, "out", k) for k in range(len(pt.output.factors))
         ]
         kets, bras = [], []
         for p in ports:
@@ -836,7 +818,7 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
         subs = kets + bras
         # contract self-loops (labels occurring twice) right away
         out_subs = sorted(l for l in set(subs) if subs.count(l) == 1)
-        t = _einsum(t, subs, out_subs)
+        t = contract(pt.legs(), subs, out_subs)
         tensors[ni] = (out_subs, t)
 
     if not names:
@@ -849,7 +831,7 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
             subs_b, tb = comps[b]
             shared = set(subs_a) & set(subs_b)
             out_subs = sorted((set(subs_a) | set(subs_b)) - shared)
-            merged = _einsum(ta, subs_a, tb, subs_b, out_subs)
+            merged = contract(ta, subs_a, tb, subs_b, out_subs)
             comps[min(a, b)] = (out_subs, merged)
             del comps[max(a, b)]
         if len(comps) != 1:
@@ -878,8 +860,8 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
     want = kets + bras
     if sorted(want) != sorted(result_labels):
         raise ValueError("evaluation did not leave exactly the boundary wires open")
-    final = _einsum(result, result_labels, want) if want else result
+    final = contract(result, result_labels, want) if want else result
     s_in = SystemType(tuple(in_factors))
     s_out = SystemType(tuple(out_factors))
     side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor(s_in, s_out, final.reshape(side, side), tol)
+    return ProcessTensor._trusted(s_in, s_out, final.reshape(side, side), tol)

@@ -18,10 +18,13 @@ no-signalling in both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix, dagger as mat_dagger, max_abs
+from .numerics import (
+    DEFAULT_TOL, Tolerances, as_matrix, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
+)
 from .processes import ProcessTensor, is_causal, preserves_identity
 from .systems import CLASSICAL, DOWN, QUANTUM, SystemType
 
@@ -184,28 +187,11 @@ class Representation:
 
     def unitary(self, g):
         """Unitary on the full system (classical factors act as identity)."""
-        u = self.action[g]
         facs = self.system.factors
-        if all(f.kind == QUANTUM for f in facs) or not facs:
-            return u
-        qpos = [i for i, f in enumerate(facs) if f.kind == QUANTUM]
-        d = self.system.total_dim
-        if not qpos:  # purely classical system; the 1x1 quantum action is a phase
-            return u[0, 0] * np.eye(d, dtype=complex)
-        # interleave the quantum action with classical identities factor by factor
-        n = len(facs)
-        qdims = [facs[i].dim for i in qpos]
-        ops = [u.reshape(qdims + qdims)]
-        subs = [[p for p in qpos] + [p + n for p in qpos]]
-        for i, f in enumerate(facs):
-            if f.kind == CLASSICAL:
-                ops.append(np.eye(f.dim))
-                subs.append([i, i + n])
-        args = []
-        for op, sub in zip(ops, subs):
-            args.extend([op, sub])
-        args.append(list(range(2 * n)))
-        return np.einsum(*args).reshape(d, d)
+        order = [i for i, f in enumerate(facs) if f.kind == QUANTUM]
+        order += [i for i, f in enumerate(facs) if f.kind == CLASSICAL]
+        eye = np.eye(self.system.total_dim // self.quantum_dim)
+        return factors_in_order(np.kron(self.action[g], eye), [f.dim for f in facs], order)
 
 
 def validate_representation(r: Representation, tol: Tolerances = DEFAULT_TOL):
@@ -320,45 +306,16 @@ class NoSignallingVerdict:
         return out
 
 
-def _trace_pairs(choi, dims, positions):
-    """Partial trace over the ket/bra pairs at ``positions``; returns (tensor, kept dims)."""
-    n = len(dims)
-    t = choi.reshape(list(dims) + list(dims))
-    subs = list(range(n)) + [i if i in positions else n + i for i in range(n)]
-    kept = [i for i in range(n) if i not in positions]
-    out = kept + [n + i for i in kept]
-    return np.einsum(t, subs, out), [dims[i] for i in kept]
-
-
 def _matches_identity_product(choi, dims, eye_positions, tol):
     """Does choi factor as 1 on eye_positions (x) residue/dim elsewhere?
 
-    Returns (residual, residue tensor as a matrix on the kept positions).
+    Returns (residual, residue as a matrix on the kept positions).
     """
-    n = len(dims)
-    d_eyes = 1
-    for p in eye_positions:
-        d_eyes *= dims[p]
-    residue, kept_dims = _trace_pairs(choi, dims, eye_positions)
-    residue = residue / d_eyes
-    kept = [i for i in range(n) if i not in eye_positions]
-    ops, subs = [], []
-    for p in eye_positions:
-        ops.append(np.eye(dims[p]))
-        subs.append([p, n + p])
-    ops.append(residue)
-    subs.append(kept + [n + i for i in kept])
-    args = []
-    for op, sub in zip(ops, subs):
-        args.extend([op, sub])
-    args.append(list(range(2 * n)))
-    expected = np.einsum(*args)
-    t = choi.reshape(list(dims) + list(dims))
-    residual = max_abs(t - expected) / max(1.0, max_abs(t))
-    side = 1
-    for d in kept_dims:
-        side *= d
-    return residual, residue.reshape(side, side)
+    kept = [i for i in range(len(dims)) if i not in eye_positions]
+    d_eyes = prod(dims[p] for p in eye_positions)
+    residue = partial_trace(choi, dims, kept) / d_eyes
+    expected = factors_in_order(np.kron(np.eye(d_eyes), residue), dims, list(eye_positions) + kept)
+    return max_abs(choi - expected) / max(1.0, max_abs(choi)), residue
 
 
 def _sub_system(s: SystemType, flags, retro):
@@ -387,12 +344,11 @@ def no_signalling(
     notes = []
 
     # causal -> retro: G = (discard causal outputs) . f
-    g_tensor, g_dims = _trace_pairs(f.choi, dims, c_out)
-    g_side = int(np.prod(g_dims)) if g_dims else 1
-    # positions of the causal inputs inside G's factor list
     keep = [i for i in range(len(dims)) if i not in c_out]
+    g = partial_trace(f.choi, dims, keep)
+    # positions of the causal inputs inside G's factor list
     g_cin = [keep.index(i) for i in c_in]
-    res_cr, fr_mat = _matches_identity_product(g_tensor.reshape(g_side, g_side), g_dims, g_cin, tol)
+    res_cr, fr_mat = _matches_identity_product(g, [dims[i] for i in keep], g_cin, tol)
     ok_cr = res_cr <= tol.eq_rel
     fr = None
     s_r_in = _sub_system(f.input, partition.input_retro, True)
@@ -407,11 +363,10 @@ def no_signalling(
         notes.append(f"extracted retro part is not a process: {exc}")
 
     # retro -> causal: G' = f . (noise on retro inputs)
-    gp_tensor, gp_dims = _trace_pairs(f.choi, dims, r_in)
-    gp_side = int(np.prod(gp_dims)) if gp_dims else 1
     keep = [i for i in range(len(dims)) if i not in r_in]
+    gp = partial_trace(f.choi, dims, keep)
     gp_rout = [keep.index(i) for i in r_out]
-    res_rc, fc_mat = _matches_identity_product(gp_tensor.reshape(gp_side, gp_side), gp_dims, gp_rout, tol)
+    res_rc, fc_mat = _matches_identity_product(gp, [dims[i] for i in keep], gp_rout, tol)
     ok_rc = res_rc <= tol.eq_rel
     fc = None
     s_c_in = _sub_system(f.input, partition.input_retro, False)

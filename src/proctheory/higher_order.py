@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import DEFAULT_TOL, Tolerances
-from .processes import ProcessTensor, is_causal
+from .numerics import DEFAULT_TOL, Tolerances, contract
+from .processes import ProcessTensor, ProcessTypeError, is_causal
 from .systems import SystemType
 
 __all__ = [
@@ -47,9 +45,7 @@ def bend(f: ProcessTensor, side, index, tol: Tolerances = DEFAULT_TOL):
     else, so bending the resulting last factor back restores ``f`` exactly.
     """
     n_in, n_out = len(f.input.factors), len(f.output.factors)
-    dims = list(f.input.dims) + list(f.output.dims)
-    n = len(dims)
-    t = f.choi.reshape(dims + dims)
+    n = n_in + n_out
     if side == "in":
         if not 0 <= index < n_in:
             raise IndexError(f"input port {index} out of range for {f}")
@@ -66,11 +62,10 @@ def bend(f: ProcessTensor, side, index, tol: Tolerances = DEFAULT_TOL):
         order = list(range(n_in)) + [pos] + [i for i in range(n_in, n) if i != pos]
     else:
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
-    perm = order + [i + n for i in order]
-    t = t.transpose(perm)
+    t = f.legs().transpose(order + [i + n for i in order])
     s_in, s_out = SystemType(new_in), SystemType(new_out)
     side_len = s_in.total_dim * s_out.total_dim
-    return ProcessTensor(s_in, s_out, t.reshape(side_len, side_len), tol)
+    return ProcessTensor._trusted(s_in, s_out, t.reshape(side_len, side_len), tol)
 
 
 @dataclass(frozen=True)
@@ -125,9 +120,13 @@ def _positions(roles, role):
     return [i for i, r in enumerate(roles) if r == role]
 
 
+def _kets_bras(legs):
+    return [(leg, 0) for leg in legs] + [(leg, 1) for leg in legs]
+
+
 def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor,
                          tol: Tolerances = DEFAULT_TOL):
-    """Plug channels into the slots: contract W with choi(a) and choi(b).
+    """Plug channels into the slots: contract W with choi(a), then with choi(b).
 
     Each slot channel's leading input factors must match the slot's input
     wires and its leading output factors the slot's output wires; any further
@@ -140,7 +139,10 @@ def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor,
     channel; for exotic W inputs the contraction is still performed and the
     caller can test causality.
     """
-    extras = {}
+    u = w.underlying
+    n_in = len(u.input.factors)
+    legs_w = [("w", i) for i in range(n_in + len(u.output.factors))]
+    legs, anc_in, anc_out, extras = {}, {}, {}, {}
     for slot, ch in (("a", a), ("b", b)):
         s_in = w.slot_system(f"{slot}-in")
         s_out = w.slot_system(f"{slot}-out")
@@ -150,58 +152,24 @@ def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor,
         if not SystemType(ch.output.factors[:k_out]).same_carrier(s_out):
             raise ValueError(f"slot {slot} expects output starting with {s_out}, got {ch.output}")
         extras[slot] = (ch.input.factors[k_in:], ch.output.factors[k_out:])
+        # slot wires are W's legs; ancilla legs get names of their own
+        anc_in[slot] = [(slot, "in", j) for j in range(k_in, len(ch.input.factors))]
+        anc_out[slot] = [(slot, "out", j) for j in range(k_out, len(ch.output.factors))]
+        feed = [legs_w[n_in + i] for i in _positions(w.output_roles, f"{slot}-in")]
+        ret = [legs_w[i] for i in _positions(w.input_roles, f"{slot}-out")]
+        legs[slot] = _kets_bras(feed + anc_in[slot] + ret + anc_out[slot])
 
-    u = w.underlying
-    n_in = len(u.input.factors)
-    n = n_in + len(u.output.factors)
-    dims = list(u.input.dims) + list(u.output.dims)
-    tw = u.choi.reshape(dims + dims)
-
-    # W's kets get labels 0..n-1 and bras n..2n-1; ancilla legs get fresh labels.
-    subs_w = list(range(2 * n))
-    fresh = [2 * n]
-
-    def channel_kets(ch, feed_positions, return_positions):
-        kets = list(feed_positions)
-        for _ in range(len(ch.input.factors) - len(feed_positions)):
-            kets.append(fresh[0])
-            fresh[0] += 1
-        kets.extend(return_positions)
-        for _ in range(len(ch.output.factors) - len(return_positions)):
-            kets.append(fresh[0])
-            fresh[0] += 1
-        return kets
-
-    a_in_pos = [n_in + i for i in _positions(w.output_roles, "a-in")]
-    a_out_pos = _positions(w.input_roles, "a-out")
-    b_in_pos = [n_in + i for i in _positions(w.output_roles, "b-in")]
-    b_out_pos = _positions(w.input_roles, "b-out")
-
-    kets_a = channel_kets(a, a_in_pos, a_out_pos)
-    kets_b = channel_kets(b, b_in_pos, b_out_pos)
-    shift = fresh[0]  # bras of W's wires are +n; ancilla bras are +shift
-    bras_a = [l + n if l < 2 * n else l + shift for l in kets_a]
-    bras_b = [l + n if l < 2 * n else l + shift for l in kets_b]
-
-    dims_a = list(a.input.dims) + list(a.output.dims)
-    dims_b = list(b.input.dims) + list(b.output.dims)
-    ta = a.choi.reshape(dims_a + dims_a)
-    tb = b.choi.reshape(dims_b + dims_b)
-
-    past_pos = _positions(w.input_roles, "past")
-    fut_pos = [n_in + i for i in _positions(w.output_roles, "future")]
-    extra_in_a = [l for l in kets_a[: len(a.input.factors)] if l >= 2 * n]
-    extra_in_b = [l for l in kets_b[: len(b.input.factors)] if l >= 2 * n]
-    extra_out_a = [l for l in kets_a[len(a.input.factors) :] if l >= 2 * n]
-    extra_out_b = [l for l in kets_b[len(b.input.factors) :] if l >= 2 * n]
-    out_kets = past_pos + extra_in_a + extra_in_b + extra_out_a + extra_out_b + fut_pos
-    out_bras = [l + n if l < 2 * n else l + shift for l in out_kets]
-
-    res = np.einsum(tw, subs_w, ta, kets_a + bras_a, tb, kets_b + bras_b, out_kets + out_bras)
+    past = [legs_w[i] for i in _positions(w.input_roles, "past")]
+    future = [legs_w[n_in + i] for i in _positions(w.output_roles, "future")]
+    boundary = past + anc_in["a"] + anc_in["b"] + anc_out["a"] + anc_out["b"] + future
+    lw = _kets_bras(legs_w)
+    mid = [l for l in lw if l not in legs["a"]] + [l for l in legs["a"] if l not in lw]
+    t = contract(u.legs(), lw, a.legs(), legs["a"], mid)
+    res = contract(t, mid, b.legs(), legs["b"], _kets_bras(boundary))
     s_in = w.slot_system("past") * SystemType(extras["a"][0]) * SystemType(extras["b"][0])
     s_out = SystemType(extras["a"][1]) * SystemType(extras["b"][1]) * w.slot_system("future")
     side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor(s_in, s_out, res.reshape(side, side), tol)
+    return ProcessTensor._trusted(s_in, s_out, res.reshape(side, side), tol)
 
 
 def ordered_process_channel(past: SystemType, mid: SystemType, late: SystemType,
@@ -229,20 +197,23 @@ def circuit_form_channel(g1: ProcessTensor, g2: ProcessTensor, g3: ProcessTensor
     (a-in, b-in, future). Applying channels (A, B) then equals the ordered
     composite g3 . (B (x) 1) . g2 . (A (x) 1) . g1.
     """
-    from .processes import compose_par, compose_seq, identity, swap
-
-    a_in = SystemType(g1.output.factors[:1])
-    m1 = SystemType(g1.output.factors[1:])
+    a_in, m1 = SystemType(g1.output.factors[:1]), SystemType(g1.output.factors[1:])
     a_out = SystemType(g2.input.factors[:1])
-    b_in = SystemType(g2.output.factors[:1])
-    m2 = SystemType(g2.output.factors[1:])
+    b_in, m2 = SystemType(g2.output.factors[:1]), SystemType(g2.output.factors[1:])
     b_out = SystemType(g3.input.factors[:1])
-    # (P, a_out, b_out) -> (A_in, M1, a_out, b_out)
-    stage1 = compose_par(compose_par(g1, identity(a_out, tol), tol), identity(b_out, tol), tol)
-    # -> (A_in, B_in, M2, b_out)
-    g2_routed = compose_seq(g2, swap(m1, a_out, tol), tol)
-    stage2 = compose_par(compose_par(identity(a_in, tol), g2_routed, tol), identity(b_out, tol), tol)
-    # -> (A_in, B_in, F)
-    g3_routed = compose_seq(g3, swap(m2, b_out, tol), tol)
-    stage3 = compose_par(compose_par(identity(a_in, tol), identity(b_in, tol), tol), g3_routed, tol)
-    return compose_seq(stage3, compose_seq(stage2, stage1, tol), tol)
+    for mem, g in ((m1, g2), (m2, g3)):
+        if not SystemType(g.input.factors[1:]).same_carrier(mem):
+            raise ProcessTypeError(f"memory {mem} does not match the input of {g}")
+    # one leg per wire, grouped: p past, a/x slot A in/out, m/n memories,
+    # b/y slot B in/out, f future; upper case marks the bra legs
+    dim = dict(zip("paxmbnyf", (g1.din, a_in.total_dim, a_out.total_dim, m1.total_dim,
+                                b_in.total_dim, m2.total_dim, b_out.total_dim, g3.dout)))
+
+    def grouped(g, legs):
+        return g.choi.reshape([dim[l] for l in legs + legs])
+
+    t = contract(grouped(g1, "pam"), "pamPAM", grouped(g2, "xmbn"), "xmbnXMBN", "paPAxbnXBN")
+    t = contract(t, "paPAxbnXBN", grouped(g3, "ynf"), "ynfYNF", "pxyabfPXYABF")
+    s_in, s_out = g1.input * a_out * b_out, a_in * b_in * g3.output
+    side = s_in.total_dim * s_out.total_dim
+    return ProcessTensor._trusted(s_in, s_out, t.reshape(side, side), tol)

@@ -2,8 +2,9 @@
 
 Everything downstream (processes, diagrams, theories) manipulates square
 complex matrices; this module owns the handful of primitives they need:
-tensor products, partial traces over named factors, Hermitian eigenvalue
-bounds, and the tolerance record used for all approximate comparisons.
+tensor products, partial traces over named factors, the pairwise
+contraction of labelled tensors, Hermitian eigenvalue bounds, and the
+tolerance record used for all approximate comparisons.
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``. Sums and
 contractions go through ``einsum``/BLAS with a fixed operand order, so
@@ -14,6 +15,7 @@ across runs still use the tolerances below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -29,6 +31,8 @@ __all__ = [
     "is_hermitian",
     "kron",
     "partial_trace",
+    "factors_in_order",
+    "contract",
     "min_eigenvalue_hermitian",
 ]
 
@@ -149,6 +153,55 @@ def partial_trace(a, dims, keep):
         t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
     kept_side = int(np.prod([dims[k] for k in keep])) if keep else 1
     return t.reshape(kept_side, kept_side)
+
+
+def factors_in_order(a, dims, order):
+    """Move the tensor factors of a square matrix into increasing index order.
+
+    ``a`` acts on factors ``order[0], order[1], ...`` (a permutation of
+    ``range(len(dims))``) in that order; factor ``i`` has dimension ``dims[i]``.
+    """
+    n = len(order)
+    inv = sorted(range(n), key=order.__getitem__)
+    t = a.reshape([dims[i] for i in order] * 2)
+    return t.transpose(inv + [n + k for k in inv]).reshape(a.shape)
+
+
+# Loop size (product of the dims of all labels) up to which one ``np.einsum``
+# call costs less than a transpose-reshape-matmul; measured at d = 2..8.
+_EINSUM_MAX_LOOP = 512
+
+
+def contract(*operands):
+    """``np.einsum(a, la, out)`` or ``np.einsum(a, la, b, lb, out)``, any hashable labels.
+
+    Labels are renumbered on each call, so numpy's limit of 52 subscripts
+    bounds the legs of one call, never a whole network. A pair that uses each
+    label once per operand and keeps exactly the unshared ones runs as one
+    matrix product when its loop exceeds ``_EINSUM_MAX_LOOP``.
+    """
+    *pairs, out = operands
+    tensors, labels = pairs[0::2], [list(ls) for ls in pairs[1::2]]
+    if len(tensors) == 2:
+        (a, b), (la, lb) = tensors, labels
+        sa, sb = set(la), set(lb)
+        dims = dict(zip(la, a.shape))
+        plain = (len(sa) == len(la) and len(sb) == len(lb)
+                 and len(set(out)) == len(out) and set(out) == sa ^ sb
+                 and all(dims.setdefault(l, d) == d for l, d in zip(lb, b.shape)))
+        if plain and prod(dims.values()) > _EINSUM_MAX_LOOP:
+            shared = [l for l in la if l in sb]
+            free = [l for l in la if l not in sb] + [l for l in lb if l not in sa]
+            k = prod(dims[l] for l in shared)
+            am = a.transpose([la.index(l) for l in free if l in sa] + [la.index(l) for l in shared])
+            bm = b.transpose([lb.index(l) for l in shared] + [lb.index(l) for l in free if l in sb])
+            t = am.reshape(-1, k) @ bm.reshape(k, -1)
+            return t.reshape([dims[l] for l in free]).transpose([free.index(l) for l in out])
+    local = {}
+    args = []
+    for t, ls in zip(tensors, labels):
+        args += [t, [local.setdefault(l, len(local)) for l in ls]]
+    return np.einsum(*args, [local[l] for l in out])
 
 
 def min_eigenvalue_hermitian(a, tol: Tolerances = DEFAULT_TOL):

@@ -12,6 +12,11 @@ their Choi tensors. Classical wires are decohered quantum wires: every Choi
 operator is diagonal in the classical indices (a checkable invariant that
 all constructors and compositions preserve).
 
+Validity is checked where data enters, by ``ProcessTensor(...)``. Wirings
+and nonnegative rescalings of valid processes are valid (the link product
+of positive operators is positive), so they are built by the shape-only
+``ProcessTensor._trusted``.
+
 Trace preservation is deliberately *not* part of the type; it is one of the
 causality-flavoured predicates at the bottom of this module, so the same
 objects serve both the physical theory (CPTP maps) and the calculational
@@ -26,7 +31,9 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
+    NotHermitianError,
     Tolerances,
+    contract,
     dagger as mat_dagger,
     max_abs,
     mats_close,
@@ -97,6 +104,14 @@ def _classical_positions(s_in: SystemType, s_out: SystemType):
     return [p for p, f in enumerate(facs) if f.kind == CLASSICAL]
 
 
+def _shaped(s_in: SystemType, s_out: SystemType, choi):
+    choi = np.asarray(choi, dtype=complex)
+    side = s_in.total_dim * s_out.total_dim
+    if choi.shape != (side, side):
+        raise ProcessTypeError(f"choi must be {side}x{side} for {s_in} -> {s_out}, got {choi.shape}")
+    return choi
+
+
 @dataclass(frozen=True)
 class ProcessTensor:
     """A completely positive map between systems, as an input (x) output Choi matrix."""
@@ -107,16 +122,13 @@ class ProcessTensor:
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        choi = np.asarray(self.choi, dtype=complex)
-        side = self.input.total_dim * self.output.total_dim
-        if choi.shape != (side, side):
-            raise ProcessTypeError(
-                f"choi must be {side}x{side} for {self.input} -> {self.output}, got {choi.shape}"
-            )
+        choi = _shaped(self.input, self.output, self.choi)
         scale = max(1.0, max_abs(choi))
-        if max_abs(choi - mat_dagger(choi)) > self.tol.eq_rel * scale:
-            raise ValueError("choi operator is not Hermitian")
-        if min_eigenvalue_hermitian(choi, self.tol) < -self.tol.psd_rel * scale:
+        try:
+            lam = min_eigenvalue_hermitian(choi, self.tol)
+        except NotHermitianError:
+            raise ValueError("choi operator is not Hermitian") from None
+        if lam < -self.tol.psd_rel * scale:
             raise ValueError("choi operator is not PSD: map is not completely positive")
         pos = _classical_positions(self.input, self.output)
         masked = _decohere_mask(choi, self.input.dims, self.output.dims, pos)
@@ -125,6 +137,18 @@ class ProcessTensor:
         choi = choi.copy()
         choi.setflags(write=False)
         object.__setattr__(self, "choi", choi)
+
+    @classmethod
+    def _trusted(cls, input, output, choi, tol: Tolerances = DEFAULT_TOL):
+        """A process built from valid processes by wiring or by a nonnegative
+        rescaling, which keeps it valid: only the shape is checked, and
+        ``choi`` (a fresh array) is frozen in place of a copy."""
+        choi = _shaped(input, output, choi)
+        choi.setflags(write=False)
+        f = object.__new__(cls)
+        for name, value in (("input", input), ("output", output), ("choi", choi), ("tol", tol)):
+            object.__setattr__(f, name, value)
+        return f
 
     @property
     def din(self):
@@ -138,18 +162,28 @@ class ProcessTensor:
         """Choi tensor with axes (in-ket, out-ket, in-bra, out-bra)."""
         return self.choi.reshape(self.din, self.dout, self.din, self.dout)
 
+    def legs(self):
+        """Choi tensor with one axis per factor: input then output kets, then bras."""
+        dims = self.input.dims + self.output.dims
+        return self.choi.reshape(dims + dims)
+
     def __str__(self):
         return f"Process[{self.input} -> {self.output}]"
 
 
 @dataclass(frozen=True)
 class Scalar:
-    """A closed diagram's value: a nonnegative real."""
+    """A closed diagram's value: a nonnegative real.
+
+    A value below zero by at most ``tol.zero_abs * max(1, |value|)`` is
+    rounding and reads as 0; anything more negative is rejected.
+    """
 
     value: float
+    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.value < -DEFAULT_TOL.zero_abs:
+        if self.value < -self.tol.zero_abs * max(1.0, abs(self.value)):
             raise ValueError(f"scalar must be nonnegative, got {self.value}")
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 
@@ -161,7 +195,7 @@ def as_scalar(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     z = complex(f.choi[0, 0])
     if abs(z.imag) > tol.eq_rel * max(1.0, abs(z)):
         raise ValueError(f"closed diagram evaluated to non-real scalar {z}")
-    return Scalar(z.real if z.real > 0 else 0.0)
+    return Scalar(z.real, tol)
 
 
 def apply(f: ProcessTensor, x):
@@ -187,25 +221,25 @@ def compose_seq(g: ProcessTensor, f: ProcessTensor, tol: Tolerances = DEFAULT_TO
             f"cannot compose {g} after {f}: factor {k} mismatch "
             f"({fa if fa else 'missing'} vs {fb if fb else 'missing'})"
         )
-    j = np.einsum("abAB,bcBC->acAC", f.choi4(), g.choi4())
+    j = contract(f.choi4(), "abAB", g.choi4(), "bcBC", "acAC")
     side = f.din * g.dout
-    return ProcessTensor(f.input, g.output, j.reshape(side, side), tol)
+    return ProcessTensor._trusted(f.input, g.output, j.reshape(side, side), tol)
 
 
 def compose_par(f: ProcessTensor, g: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Parallel composition f (x) g (concatenated inputs and outputs)."""
-    j = np.einsum("abAB,cdCD->acbdACBD", f.choi4(), g.choi4())
+    j = contract(f.choi4(), "abAB", g.choi4(), "cdCD", "acbdACBD")
     s_in = f.input * g.input
     s_out = f.output * g.output
     side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor(s_in, s_out, j.reshape(side, side), tol)
+    return ProcessTensor._trusted(s_in, s_out, j.reshape(side, side), tol)
 
 
 def dagger_h(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Hermitian-adjoint dagger: Tr[Y^dag f(X)] = Tr[dagger_h(f)(Y)^dag X]."""
     j = f.choi4().transpose(1, 0, 3, 2).conj()
     side = f.din * f.dout
-    return ProcessTensor(f.output, f.input, j.reshape(side, side), tol)
+    return ProcessTensor._trusted(f.output, f.input, j.reshape(side, side), tol)
 
 
 # ---------------------------------------------------------------------------

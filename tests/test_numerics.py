@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proctheory import numerics
 from proctheory.numerics import (
     DimensionMismatchError,
     NotHermitianError,
     Tolerances,
+    contract,
+    factors_in_order,
     kron,
     min_eigenvalue_hermitian,
     partial_trace,
@@ -136,3 +139,89 @@ def test_tolerances_validate():
     assert t.zero_abs == 1e-12 and t.eq_rel == 1e-9 and t.psd_rel == 1e-9
     with pytest.raises(ValueError):
         Tolerances(zero_abs=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise contraction kernel, against np.einsum on the same labels
+
+
+def close_rel(got, want, rel=1e-12):
+    return np.max(np.abs(got - want), initial=0.0) <= rel * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+@st.composite
+def labelled_pairs(draw):
+    """Two tensors over up to 8 labels of dim 1-4, and an output list.
+
+    Each label sits on a, b or both; the output is mostly the unshared labels
+    in a random order, else (einsum's other cases) any subset of the labels.
+    """
+    n = draw(st.integers(0, 8))
+    dims = draw(st.lists(st.integers(1, 4) | st.integers(3, 4), min_size=n, max_size=n))
+    where = draw(st.lists(st.sampled_from(["a", "b", "ab"]), min_size=n, max_size=n))
+    la = draw(st.permutations([i for i in range(n) if "a" in where[i]]))
+    lb = draw(st.permutations([i for i in range(n) if "b" in where[i]]))
+    free = [i for i in range(n) if where[i] != "ab"]
+    keep = draw(st.sampled_from(["free", "free", "free", "other"]))
+    out = free if keep == "free" else draw(st.lists(st.sampled_from(range(n)), unique=True)) if n else []
+    out = draw(st.permutations(out))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    a = rand_complex(rng, 1, int(np.prod([dims[i] for i in la]))).reshape([dims[i] for i in la])
+    b = rand_complex(rng, 1, int(np.prod([dims[i] for i in lb]))).reshape([dims[i] for i in lb])
+    return a, list(la), b, list(lb), list(out)
+
+
+@given(labelled_pairs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_contract_matches_einsum(case):
+    a, la, b, lb, out = case
+    want = np.einsum(a, la, b, lb, out)
+    # labels of any hashable kind: renumbered per call
+    name = {i: ("wire", i) for i in range(9)}
+    got = contract(a, [name[i] for i in la], b, [name[i] for i in lb], [name[i] for i in out])
+    assert got.shape == want.shape
+    assert close_rel(got, want)
+
+
+@pytest.mark.parametrize("d, by_einsum", [(2, True), (3, False), (4, False)])
+def test_contract_dispatches_on_size(monkeypatch, d, by_einsum):
+    """compose_seq's pattern: d = 2 loops over 2**6 = 64 entries, d = 3 over 729."""
+    rng = np.random.default_rng(d)
+    f, g = rand_complex(rng, d**2, d**2).reshape((d,) * 4), rand_complex(rng, d**2, d**2).reshape((d,) * 4)
+    want = np.einsum("abAB,bcBC->acAC", f, g)
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    got = contract(f, "abAB", g, "bcBC", "acAC")
+    assert bool(calls) == by_einsum
+    assert close_rel(got, want)
+    # an outer product (no shared label) takes the same route
+    calls.clear()
+    got = contract(f, "abAB", g, "cdCD", "acbdACBD")
+    assert bool(calls) == by_einsum
+    assert close_rel(got, real("abAB,cdCD->acbdACBD", f, g))
+    assert numerics._EINSUM_MAX_LOOP == 512
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_contract_chain_beyond_52_labels(d):
+    """A chain of 30 channel-shaped tensors uses 62 labels in all; each call sees 6."""
+    rng = np.random.default_rng(16)
+    links = [rand_complex(rng, d * d, d * d).reshape(d, d, d, d) / d for _ in range(30)]
+    t, open_ = links[0], [0, 1, 100, 101]  # wire k: ket k, bra 100 + k
+    for k, x in enumerate(links[1:], start=1):
+        t = contract(t, open_, x, [k, k + 1, 100 + k, 101 + k], [0, k + 1, 100, 101 + k])
+        open_ = [0, k + 1, 100, 101 + k]
+    # oracle: T[a, b, A, B] is the matrix M[(a, A), (b, B)], and wiring is a matrix product
+    as_matrix = lambda x: x.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    want = np.linalg.multi_dot([as_matrix(x) for x in links])
+    assert close_rel(as_matrix(t), want)
+
+
+def test_factors_in_order_matches_kron():
+    rng = np.random.default_rng(17)
+    a, b, c = rand_complex(rng, 2, 2), rand_complex(rng, 3, 3), rand_complex(rng, 4, 4)
+    # kron(b, c, a) acts on factors (1, 2, 0); in order it is kron(a, b, c)
+    moved = factors_in_order(kron(kron(b, c), a), [2, 3, 4], [1, 2, 0])
+    assert close_rel(moved, kron(kron(a, b), c))

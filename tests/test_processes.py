@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proctheory import processes as P
+from proctheory.numerics import Tolerances
 from proctheory.processes import (
     ProcessTensor,
     ProcessTypeError,
@@ -248,8 +249,9 @@ class TestClassicalDecoherence:
         rng = np.random.default_rng(30)
         m = measurement_channel(P.random_povm(rng, 2, 3), Q(2), C(3))
         post = classical_channel(P.random_stochastic(rng, 3, 2), C(3), C(2))
-        comp = compose_seq(post, m)  # construction revalidates decoherence
+        comp = compose_seq(post, m)  # wiring keeps decoherence: revalidating accepts it
         assert comp.output.factors[0].kind == "classical"
+        ProcessTensor(comp.input, comp.output, comp.choi)
 
     def test_non_decohered_choi_rejected(self):
         full = np.zeros((4, 4), dtype=complex)
@@ -262,3 +264,50 @@ class TestClassicalDecoherence:
     def test_cp_violation_rejected(self):
         with pytest.raises(ValueError, match="not PSD"):
             ProcessTensor(Q(2), TRIVIAL, np.diag([1.0, -1.0]))
+
+
+class TestTrustBoundary:
+    """Public constructors validate; wirings of valid processes are built unchecked."""
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ProcessTensor(Q(2), TRIVIAL, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_trusted_checks_shape_and_freezes(self):
+        with pytest.raises(ProcessTypeError, match="choi must be 4x4"):
+            ProcessTensor._trusted(Q(2), Q(2), np.eye(2))
+        f = ProcessTensor._trusted(Q(2), TRIVIAL, np.eye(2, dtype=complex))
+        assert not f.choi.flags.writeable
+
+    def test_compositions_skip_validation(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        f = P.random_cptp(rng, Q(2), Q(3))
+        g = P.random_cptp(rng, Q(3), Q(2))
+        calls = []
+        real = ProcessTensor.__post_init__
+        monkeypatch.setattr(ProcessTensor, "__post_init__", lambda self: calls.append(self) or real(self))
+        comps = [compose_seq(g, f), compose_par(f, g), dagger_h(f)]
+        assert calls == []
+        for c in comps:  # and each would pass validation
+            ProcessTensor(c.input, c.output, c.choi)
+
+
+class TestScalarTolerance:
+    def test_rounding_clamps_and_sign_errors_raise(self):
+        assert P.Scalar(-1e-13).value == 0.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            P.Scalar(-1e-3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            P.Scalar(-5.0)
+
+    def test_as_scalar_honours_callers_tolerances(self):
+        # a closed value with a sign error, as a faulty trusted composite would carry
+        closed = ProcessTensor._trusted(TRIVIAL, TRIVIAL, np.array([[-1e-3]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            as_scalar(closed)
+        assert as_scalar(closed, Tolerances(zero_abs=1e-2)).value == 0.0
+        tiny = ProcessTensor._trusted(TRIVIAL, TRIVIAL, np.array([[-1e-13]]))
+        assert as_scalar(tiny).value == 0.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            as_scalar(tiny, Tolerances(zero_abs=1e-14))
+        assert P.Scalar(-1e-3, Tolerances(zero_abs=1e-2)).value == 0.0

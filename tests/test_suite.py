@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 
-from proctheory import suite, theories
+from proctheory import cli, suite, theories
 from proctheory.processes import ProcessTensor, compose_seq
+
+GOOD = Path(__file__).parent / "data" / "pd" / "good"
 
 
 def test_all_checks_pass():
@@ -48,3 +52,29 @@ def test_mutated_normalization_fails_zero_lemma(monkeypatch):
     monkeypatch.setattr(theories, "normalization_scalar", broken_n)
     reports = {r.name: r for r in suite.run_all(seed=42, dims=(2,), trials=10)}
     assert not reports["zero-lemma"].passed
+
+
+def test_trusted_outputs_pass_full_validation(monkeypatch, capsys):
+    """Every process built unchecked (compositions, daggers, bends, plugging,
+    evaluation, rescaling) would also pass the validating constructor."""
+
+    def outcomes():
+        reports = [suite.format_report(r) for r in suite.run_all(42, (2, 3), 10)]
+        runs = []
+        for path in sorted(GOOD.glob("*.pd")):
+            for command in ("eval", "check", "quotient"):
+                code = cli.main([command, str(path)])
+                runs.append((path.name, command, code, capsys.readouterr()))
+        return reports, runs
+
+    trusted = outcomes()
+    rerouted = []
+
+    def validating(cls, s_in, s_out, choi, tol):
+        rerouted.append(s_in)
+        return cls(s_in, s_out, choi, tol)
+
+    monkeypatch.setattr(ProcessTensor, "_trusted", classmethod(validating))
+    assert outcomes() == trusted
+    assert all(r.endswith("pass=true") for r in trusted[0])
+    assert len(rerouted) > 500  # the unchecked path really was exercised
