@@ -8,22 +8,23 @@ Commands
     quotient FILE            evaluate and print canonical (scale-quotient) forms
 
 Exit codes: 0 success / all checks pass, 1 typecheck violations or failing
-checks, 2 parse or semantic errors, 3 unknown check property. The
-environment variable PROCTHEORY_TOL_EQ overrides the default equality
-tolerance; everything else is flag-configured.
+checks, 2 parse or semantic errors or a malformed flag, 3 unknown check
+property. The environment variable PROCTHEORY_TOL_EQ overrides the default
+equality tolerance; everything else is flag-configured.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import diagram as dlang
 from . import groups, suite, theories
-from .numerics import Tolerances
+from .numerics import DEFAULT_TOL
 from .processes import as_scalar, is_causal, preserves_identity, preserves_max_mixed
-from .theories import membership, normalization_scalar, theory_by_name
+from .theories import THEORIES, membership, normalization_scalar, theory_by_name
 
 EXIT_OK = 0
 EXIT_TYPECHECK = 1
@@ -45,10 +46,7 @@ def _print_process(name, pt, tol):
 
 
 def _tolerances(args):
-    eq_default = float(os.environ.get("PROCTHEORY_TOL_EQ", 1e-9))
-    eq = args.tol_eq if args.tol_eq is not None else eq_default
-    zero = args.tol_zero if args.tol_zero is not None else 1e-12
-    return Tolerances(zero_abs=zero, eq_rel=eq, psd_rel=1e-9)
+    return dataclasses.replace(DEFAULT_TOL, zero_abs=args.tol_zero, eq_rel=args.tol_eq)
 
 
 def _load(path):
@@ -56,6 +54,19 @@ def _load(path):
         return dlang.parse_file(path), None
     except (dlang.ParseError, OSError) as exc:
         return None, str(exc)
+
+
+def _load_env(args):
+    """``(parsed, env, tol)`` for ``args.file``, or None after a parse or semantic diagnostic."""
+    parsed, err = _load(args.file)
+    if err is None:
+        tol = _tolerances(args)
+        try:
+            return parsed, dlang.build_env(parsed, tol), tol
+        except dlang.SemanticError as exc:
+            err = exc
+    print(err, file=sys.stderr)
+    return None
 
 
 def cmd_parse(args):
@@ -93,17 +104,11 @@ def _targets(args, parsed):
 
 
 def cmd_eval(args):
-    parsed, err = _load(args.file)
-    if err is not None:
-        print(err, file=sys.stderr)
+    loaded = _load_env(args)
+    if loaded is None:
         return EXIT_PARSE
-    tol = _tolerances(args)
+    parsed, env, tol = loaded
     theory = theory_by_name(args.theory)
-    try:
-        env = dlang.build_env(parsed, tol)
-    except dlang.SemanticError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
     targets = _targets(args, parsed)
     if targets is None:
         return EXIT_PARSE
@@ -128,17 +133,10 @@ def _resolve_target(parsed, env, directive, theory, strict, tol, path):
 
 
 def cmd_check(args):
-    parsed, err = _load(args.file)
-    if err is not None:
-        print(err, file=sys.stderr)
+    loaded = _load_env(args)
+    if loaded is None:
         return EXIT_PARSE
-    tol = _tolerances(args)
-    try:
-        env = dlang.build_env(parsed, tol)
-    except dlang.SemanticError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
-
+    parsed, env, tol = loaded
     reps = []
     for path in (args.rep_in, args.rep_out):
         try:
@@ -216,16 +214,10 @@ def cmd_theorems(args):
 
 
 def cmd_quotient(args):
-    parsed, err = _load(args.file)
-    if err is not None:
-        print(err, file=sys.stderr)
+    loaded = _load_env(args)
+    if loaded is None:
         return EXIT_PARSE
-    tol = _tolerances(args)
-    try:
-        env = dlang.build_env(parsed, tol)
-    except dlang.SemanticError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_PARSE
+    parsed, env, tol = loaded
     theory = theory_by_name("qcalc")
     targets = _targets(args, parsed)
     if targets is None:
@@ -244,9 +236,25 @@ def cmd_quotient(args):
     return EXIT_OK if ok else EXIT_TYPECHECK
 
 
+def _at_least(low, convert):
+    """argparse type: ``convert(text)``, rejected unless it is ``>= low`` (NaN never is)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {convert.__name__} >= {low}, got {text!r}")
+    return parse
+
+
 def _add_tol_flags(p):
-    p.add_argument("--tol-zero", type=float, default=None, help="absolute zero threshold")
-    p.add_argument("--tol-eq", type=float, default=None,
+    p.add_argument("--tol-zero", type=_at_least(0.0, float), default=DEFAULT_TOL.zero_abs,
+                   help="absolute zero threshold")
+    # argparse passes a string default (the environment variable) through ``type`` too
+    p.add_argument("--tol-eq", type=_at_least(0.0, float),
+                   default=os.environ.get("PROCTHEORY_TOL_EQ", DEFAULT_TOL.eq_rel),
                    help="relative equality tolerance (default from PROCTHEORY_TOL_EQ or 1e-9)")
 
 
@@ -266,7 +274,8 @@ def build_parser():
 
     p = sub.add_parser("eval", help="typecheck and evaluate diagrams")
     p.add_argument("file")
-    p.add_argument("--theory", default="qcalc", help="theory fixing the wiring capabilities")
+    p.add_argument("--theory", default="qcalc", type=str.lower, choices=sorted(THEORIES),
+                   help="theory fixing the wiring capabilities")
     p.add_argument("--diagram", default=None, help="evaluate a single named diagram")
     _add_strict_flag(p)
     _add_tol_flags(p)
@@ -281,9 +290,9 @@ def build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("theorems", help="run the seeded theorem suite")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dims", type=int, nargs="+", default=[2, 3])
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=_at_least(0, int), default=42)
+    p.add_argument("--dims", type=_at_least(1, int), nargs="+", default=[2, 3])
+    p.add_argument("--trials", type=_at_least(1, int), default=100)
     _add_tol_flags(p)
     p.set_defaults(fn=cmd_theorems)
 

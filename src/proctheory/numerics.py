@@ -52,7 +52,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("zero_abs", "eq_rel", "psd_rel"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN too
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
@@ -96,7 +96,7 @@ def dagger(a):
 
 def max_abs(a):
     a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
 def mats_close(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -135,7 +135,7 @@ def partial_trace(a, dims, keep):
     for pos, d in enumerate(dims):
         if d < 1:
             raise DimensionMismatchError(f"factor {pos} has nonpositive dimension {d}", factor=pos)
-    side = int(np.prod(dims)) if dims else 1
+    side = prod(dims)
     if a.shape != (side, side):
         raise DimensionMismatchError(
             f"matrix side {a.shape} does not match factor dimensions {dims} (product {side})",
@@ -146,12 +146,9 @@ def partial_trace(a, dims, keep):
         if k < 0 or k >= len(dims):
             raise DimensionMismatchError(f"keep index {k} out of range for {len(dims)} factors", factor=k)
     n = len(dims)
-    t = a.reshape(dims + dims)
-    # Trace the dropped factors pairwise, highest index first so positions stay valid.
-    dropped = [i for i in range(n) if i not in keep]
-    for i in sorted(dropped, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    kept_side = int(np.prod([dims[k] for k in keep])) if keep else 1
+    bra = [n + i if i in keep else i for i in range(n)]  # a dropped factor's bra is its ket
+    t = contract(a.reshape(dims + dims), list(range(n)) + bra, keep + [n + k for k in keep])
+    kept_side = prod(dims[k] for k in keep)
     return t.reshape(kept_side, kept_side)
 
 

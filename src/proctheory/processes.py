@@ -38,8 +38,9 @@ from .numerics import (
     max_abs,
     mats_close,
     min_eigenvalue_hermitian,
+    partial_trace,
 )
-from .systems import CLASSICAL, SystemType, TRIVIAL, WireFactor
+from .systems import CLASSICAL, SystemType, TRIVIAL
 
 __all__ = [
     "ProcessTensor",
@@ -82,26 +83,16 @@ class ProcessTypeError(TypeError):
     """System types of two processes do not line up for the attempted wiring."""
 
 
-def _decohere_mask(choi, dims_in, dims_out, classical_positions):
+def _decohere(choi, s_in: SystemType, s_out: SystemType):
     """Zero every entry whose ket and bra indices differ on a classical factor."""
-    if not classical_positions:
+    factors = s_in.factors + s_out.factors
+    if all(f.kind != CLASSICAL for f in factors):
         return choi
-    dims = list(dims_in) + list(dims_out)
-    n = len(dims)
-    t = choi.reshape(dims + dims)
-    for p in classical_positions:
-        d = dims[p]
-        shape = [1] * (2 * n)
-        shape[p] = d
-        shape[p + n] = d
-        t = t * np.eye(d).reshape(shape)
-    side = choi.shape[0]
-    return t.reshape(side, side)
-
-
-def _classical_positions(s_in: SystemType, s_out: SystemType):
-    facs = s_in.factors + s_out.factors
-    return [p for p, f in enumerate(facs) if f.kind == CLASSICAL]
+    key = np.zeros(1, dtype=int)  # each flat index's classical digits, mixed-radix
+    for f in factors:
+        digit = np.arange(f.dim) if f.kind == CLASSICAL else np.zeros(f.dim, dtype=int)
+        key = (key[:, None] * f.dim + digit).ravel()
+    return choi * (key[:, None] == key)
 
 
 def _shaped(s_in: SystemType, s_out: SystemType, choi):
@@ -130,9 +121,7 @@ class ProcessTensor:
             raise ValueError("choi operator is not Hermitian") from None
         if lam < -self.tol.psd_rel * scale:
             raise ValueError("choi operator is not PSD: map is not completely positive")
-        pos = _classical_positions(self.input, self.output)
-        masked = _decohere_mask(choi, self.input.dims, self.output.dims, pos)
-        if max_abs(choi - masked) > self.tol.zero_abs * scale:
+        if max_abs(choi - _decohere(choi, self.input, self.output)) > self.tol.zero_abs * scale:
             raise ValueError("choi operator violates classical decoherence")
         choi = choi.copy()
         choi.setflags(write=False)
@@ -203,7 +192,7 @@ def apply(f: ProcessTensor, x):
     x = np.asarray(x, dtype=complex)
     if x.shape != (f.din, f.din):
         raise ProcessTypeError(f"operator shape {x.shape} does not match input dim {f.din}")
-    return np.einsum("aA,abAB->bB", x, f.choi4())
+    return contract(x, "aA", f.choi4(), "abAB", "bB")
 
 
 def _first_mismatch(a: SystemType, b: SystemType):
@@ -246,15 +235,6 @@ def dagger_h(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
 # Generators
 
 
-def _bell_pattern(d):
-    """Sigma_ij |ii><jj| on a d-dimensional wire pair."""
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            c[i * d + i, j * d + j] = 1.0
-    return c
-
-
 def discard(s: SystemType, tol: Tolerances = DEFAULT_TOL):
     """The unique trace/marginalisation effect: apply(discard, X) = Tr X."""
     d = s.total_dim
@@ -274,18 +254,14 @@ def noise_state(s: SystemType, tol: Tolerances = DEFAULT_TOL):
 
 
 def identity(s: SystemType, tol: Tolerances = DEFAULT_TOL):
-    d = s.total_dim
-    j = _decohere_mask(_bell_pattern(d), s.dims, s.dims, _classical_positions(s, s))
-    return ProcessTensor(s, s, j, tol)
+    return channel_from_kraus([np.eye(s.total_dim)], s, s, tol)
 
 
 def cup(s: SystemType, tol: Tolerances = DEFAULT_TOL):
     """Bent wire from nothing to s (x) dual(s); Bell pair on quantum factors,
     perfectly correlated distribution on classical ones."""
     d = s.total_dim
-    out = s * s.dual()
-    j = _decohere_mask(_bell_pattern(d), [], out.dims, _classical_positions(TRIVIAL, out))
-    return ProcessTensor(TRIVIAL, out, j, tol)
+    return channel_from_kraus([np.eye(d).reshape(d * d, 1)], TRIVIAL, s * s.dual(), tol)
 
 
 def cap(s: SystemType, tol: Tolerances = DEFAULT_TOL):
@@ -296,17 +272,8 @@ def cap(s: SystemType, tol: Tolerances = DEFAULT_TOL):
 def swap(a: SystemType, b: SystemType, tol: Tolerances = DEFAULT_TOL):
     """Wire crossing a (x) b -> b (x) a."""
     da, db = a.total_dim, b.total_dim
-    u = np.zeros((da * db, da * db), dtype=complex)
-    for x in range(da):
-        for y in range(db):
-            u[y * da + x, x * db + y] = 1.0
-    s_in, s_out = a * b, b * a
-    j4 = np.einsum("ba,BA->abAB", u, u.conj())
-    d = da * db
-    j = _decohere_mask(
-        j4.reshape(d * d, d * d), s_in.dims, s_out.dims, _classical_positions(s_in, s_out)
-    )
-    return ProcessTensor(s_in, s_out, j, tol)
+    u = np.eye(da * db).reshape(da, db, -1).transpose(1, 0, 2).reshape(da * db, -1)
+    return channel_from_kraus([u], a * b, b * a, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +291,14 @@ def effect(e, s: SystemType, tol: Tolerances = DEFAULT_TOL):
 
 
 def channel_from_kraus(kraus, s_in: SystemType, s_out: SystemType, tol: Tolerances = DEFAULT_TOL):
+    """Channel X -> sum_k K_k X K_k^dag, with Choi operator V V^dag for V = [vec(K_k^T)]_k."""
     din, dout = s_in.total_dim, s_out.total_dim
-    j4 = np.zeros((din, dout, din, dout), dtype=complex)
-    for k in kraus:
-        k = np.asarray(k, dtype=complex)
+    ks = [np.asarray(k, dtype=complex) for k in kraus]
+    for k in ks:
         if k.shape != (dout, din):
             raise ProcessTypeError(f"Kraus operator shape {k.shape}, expected {(dout, din)}")
-        j4 += np.einsum("ba,BA->abAB", k, k.conj())
-    j = _decohere_mask(
-        j4.reshape(din * dout, din * dout), s_in.dims, s_out.dims, _classical_positions(s_in, s_out)
-    )
-    return ProcessTensor(s_in, s_out, j, tol)
+    v = np.array(ks).reshape(len(ks), dout, din).transpose(2, 1, 0).reshape(din * dout, len(ks))
+    return ProcessTensor(s_in, s_out, _decohere(v @ mat_dagger(v), s_in, s_out), tol)
 
 
 def channel_from_unitary(u, s: SystemType, tol: Tolerances = DEFAULT_TOL):
@@ -374,31 +338,23 @@ def classical_channel(kernel, s_in: SystemType, s_out: SystemType, tol: Toleranc
 # Causality-type predicates
 
 
-def _trace_out_output(f: ProcessTensor):
-    return np.einsum("abAb->aA", f.choi4())
-
-
-def _trace_out_input(f: ProcessTensor):
-    return np.einsum("abaB->bB", f.choi4())
-
-
 def is_causal(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Discard-preservation (trace preservation): discard . f = discard."""
-    return mats_close(_trace_out_output(f), np.eye(f.din), tol)
+    return mats_close(partial_trace(f.choi, [f.din, f.dout], [0]), np.eye(f.din), tol)
 
 
 def preserves_identity(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Retrocausality constraint: f(1_in) = 1_out."""
-    return mats_close(_trace_out_input(f), np.eye(f.dout), tol)
+    return mats_close(partial_trace(f.choi, [f.din, f.dout], [1]), np.eye(f.dout), tol)
 
 
 def preserves_max_mixed(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Unitality in the dimension-aware sense: f(1/din) = 1/dout."""
-    return mats_close(_trace_out_input(f), (f.din / f.dout) * np.eye(f.dout), tol)
+    return mats_close(partial_trace(f.choi, [f.din, f.dout], [1]), f.din / f.dout * np.eye(f.dout), tol)
 
 
 def is_trace_nonincreasing(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
-    m = np.eye(f.din) - _trace_out_output(f)
+    m = np.eye(f.din) - partial_trace(f.choi, [f.din, f.dout], [0])
     scale = max(1.0, max_abs(m), max_abs(f.choi))
     return min_eigenvalue_hermitian((m + mat_dagger(m)) / 2, tol) >= -tol.psd_rel * scale
 
@@ -442,21 +398,15 @@ def random_cptp(rng, s_in: SystemType, s_out: SystemType, env_dim=None, tol: Tol
     denv = env_dim if env_dim is not None else din
     g = _ginibre(rng, dout * denv, din)
     q, _ = np.linalg.qr(g)  # isometry: q^dag q = 1_din
-    v = q.reshape(dout, denv, din)
-    j4 = np.einsum("bea,BeA->abAB", v, v.conj())
-    j = _decohere_mask(
-        j4.reshape(din * dout, din * dout), s_in.dims, s_out.dims, _classical_positions(s_in, s_out)
-    )
-    return ProcessTensor(s_in, s_out, j, tol)
+    kraus = q.reshape(dout, denv, din).transpose(1, 0, 2)
+    return channel_from_kraus(kraus, s_in, s_out, tol)
 
 
 def random_cp(rng, s_in: SystemType, s_out: SystemType, tol: Tolerances = DEFAULT_TOL):
     """Random completely positive map with no trace condition (Wishart Choi)."""
     din, dout = s_in.total_dim, s_out.total_dim
     g = _ginibre(rng, din * dout, din * dout)
-    j = _decohere_mask(
-        g @ mat_dagger(g), s_in.dims, s_out.dims, _classical_positions(s_in, s_out)
-    )
+    j = _decohere(g @ mat_dagger(g), s_in, s_out)
     return ProcessTensor(s_in, s_out, j / (din * dout), tol)
 
 

@@ -465,6 +465,8 @@ def run_all(seed=42, dims=(2, 3), trials=100, tol: Tolerances = DEFAULT_TOL):
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"dims must be positive, got {dims}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     reports = []
     for idx, (name, anchor, fn) in enumerate(_CHECKS):
         rng = np.random.default_rng([seed, idx])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerances, max_abs, min_eigenvalue_hermitian
+from .numerics import DEFAULT_TOL, Tolerances, mats_close, max_abs, min_eigenvalue_hermitian
 from .processes import (
     ProcessTensor,
     ProcessTypeError,
@@ -154,8 +154,7 @@ def class_equal(a: ProcessClass, b: ProcessClass, tol: Tolerances = DEFAULT_TOL)
     ca, cb = a.canonical, b.canonical
     if not (ca.input.same_carrier(cb.input) and ca.output.same_carrier(cb.output)):
         return False
-    scale = max(1.0, max_abs(ca.choi), max_abs(cb.choi))
-    return max_abs(ca.choi - cb.choi) <= tol.eq_rel * scale
+    return mats_close(ca.choi, cb.choi, tol)
 
 
 def quotient_compose(a: ProcessClass, b: ProcessClass, tol: Tolerances = DEFAULT_TOL):

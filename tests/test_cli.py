@@ -221,3 +221,42 @@ def test_check_rep_of_wrong_size_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", p, "--rep-in", rep, "--rep-out", rep)
     assert (code, out) == (2, "")
     assert err == "check member D in qpart: unitary for element 0 has shape (3, 3), expected (2, 2)\n"
+
+
+# Malformed flags and environment: argparse's one-line diagnostic and exit 2, never a traceback.
+SNAKE = GOOD / "snake.pd"
+BAD_TOL = "must be float >= 0.0, got"
+MALFORMED_FLAGS = [
+    (["eval", SNAKE, "--theory", "nope"], {}, "--theory: invalid choice: 'nope'"),
+    (["eval", SNAKE, "--tol-eq", "-1"], {}, f"--tol-eq: {BAD_TOL} '-1'"),
+    (["eval", SNAKE, "--tol-zero", "-1"], {}, f"--tol-zero: {BAD_TOL} '-1'"),
+    (["check", SNAKE, "--tol-eq", "-1"], {}, f"--tol-eq: {BAD_TOL} '-1'"),
+    (["check", SNAKE, "--tol-zero", "-1"], {}, f"--tol-zero: {BAD_TOL} '-1'"),
+    (["quotient", SNAKE, "--tol-eq", "nan"], {}, f"--tol-eq: {BAD_TOL} 'nan'"),
+    (["theorems", "--tol-zero", "-1"], {}, f"--tol-zero: {BAD_TOL} '-1'"),
+    (["theorems", "--tol-eq", "-1"], {}, f"--tol-eq: {BAD_TOL} '-1'"),
+    (["eval", SNAKE], {"PROCTHEORY_TOL_EQ": "abc"}, f"--tol-eq: {BAD_TOL} 'abc'"),
+    (["theorems"], {"PROCTHEORY_TOL_EQ": "abc"}, f"--tol-eq: {BAD_TOL} 'abc'"),
+    (["theorems", "--dims", "0"], {}, "--dims: must be int >= 1, got '0'"),
+    (["theorems", "--dims", "2", "x"], {}, "--dims: must be int >= 1, got 'x'"),
+    (["theorems", "--trials", "-1"], {}, "--trials: must be int >= 1, got '-1'"),
+    (["theorems", "--trials", "0"], {}, "--trials: must be int >= 1, got '0'"),
+    (["theorems", "--seed", "-1"], {}, "--seed: must be int >= 0, got '-1'"),
+]
+
+
+@pytest.mark.parametrize("argv, env, message", MALFORMED_FLAGS)
+def test_malformed_flag_exit_2(argv, env, message, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith(f"proctheory {argv[0]}: error: argument {message}")
+
+
+def test_theory_name_is_case_insensitive(capsys):
+    code, out, err = run(capsys, "eval", GOOD / "loop_qubit.pd", "--theory", "QPHYS")
+    assert (code, err) == (0, "") and out == "Loop: scalar 4.0\n"

@@ -94,6 +94,30 @@ def test_partial_trace_errors_name_offenders():
     assert exc.value.factor == 3
 
 
+def reference_partial_trace(a, dims, keep):
+    """The former ``partial_trace``: one ``np.trace`` per dropped factor."""
+    dims = [int(d) for d in dims]
+    keep = sorted(set(keep))
+    t = np.asarray(a, dtype=complex).reshape(dims + dims)
+    for i in sorted((i for i in range(len(dims)) if i not in keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    side = int(np.prod([dims[k] for k in keep])) if keep else 1
+    return t.reshape(side, side)
+
+
+@given(st.lists(st.integers(1, 3), min_size=0, max_size=5).flatmap(
+    lambda dims: st.tuples(st.just(dims), st.sets(st.integers(0, max(len(dims) - 1, 0)),
+                                                  max_size=len(dims)))))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_partial_trace_matches_reference(case):
+    dims, keep = case
+    side = int(np.prod(dims))
+    a = rand_complex(np.random.default_rng(side + len(keep)), side, side)
+    got, want = partial_trace(a, dims, keep), reference_partial_trace(a, dims, keep)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(a).sum()))
+
+
 @given(st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_partial_trace_keep_all_roundtrip(da, db):
@@ -139,6 +163,9 @@ def test_tolerances_validate():
     assert t.zero_abs == 1e-12 and t.eq_rel == 1e-9 and t.psd_rel == 1e-9
     with pytest.raises(ValueError):
         Tolerances(zero_abs=-1.0)
+    for name in ("zero_abs", "eq_rel", "psd_rel"):  # NaN would make every closeness test False
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: float("nan")})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from proctheory.processes import (
     state,
     swap,
 )
-from proctheory.systems import C, DOWN, Q, SystemType, TRIVIAL
+from proctheory.systems import C, CLASSICAL, DOWN, Q, QUANTUM, SystemType, TRIVIAL, WireFactor
 
 
 def born_oracle(povm, rho):
@@ -161,6 +163,78 @@ class TestGenerators:
         pure = np.diag([1.0, 0.0])
         got = apply(swap(C(2), Q(2)), np.kron(dist, pure))
         assert np.allclose(got, np.kron(pure, dist))
+
+
+def basis(s: SystemType):
+    return list(itertools.product(*(range(d) for d in s.dims)))
+
+
+def decohered_pattern(kets, system: SystemType):
+    """Sum of |k><b| over pairs of basis kets (digit tuples on ``system``), kept
+    only where k and b agree on every classical factor."""
+    dims = system.dims
+    classical = [p for p, f in enumerate(system.factors) if f.kind == CLASSICAL]
+    side = int(np.prod(dims))
+    j = np.zeros((side, side), dtype=complex)
+    for k in kets:
+        for b in kets:
+            if all(k[p] == b[p] for p in classical):
+                j[np.ravel_multi_index(k, dims), np.ravel_multi_index(b, dims)] = 1.0
+    return j
+
+
+def reference_kraus_choi(kraus, din, dout):
+    """The former ``channel_from_kraus`` sum: one ``einsum`` per Kraus operator."""
+    j4 = np.zeros((din, dout, din, dout), dtype=complex)
+    for k in kraus:
+        j4 += np.einsum("ba,BA->abAB", k, k.conj())
+    return j4.reshape(din * dout, din * dout)
+
+
+MIXES = [Q(2), C(2), Q(3), C(3), Q(2) * C(3), C(2) * Q(2), Q(2) * C(2) * Q(2), C(2) * C(2)]
+
+
+class TestKrausPath:
+    """Every pure generator is a Kraus list; the wirings are Bell and permutation
+    patterns, decohered on classical factors."""
+
+    @pytest.mark.parametrize("s_in, s_out", [(Q(2), Q(3)), (C(2) * Q(2), Q(2) * C(3)),
+                                             (TRIVIAL, Q(2) * C(2)), (Q(3), TRIVIAL)], ids=str)
+    def test_kraus_choi_matches_reference(self, s_in, s_out):
+        rng = np.random.default_rng(len(s_in) + 3 * len(s_out))
+        din, dout = s_in.total_dim, s_out.total_dim
+        mask = decohered_pattern(basis(s_in * s_out), s_in * s_out)
+        for n in (1, 2, 5):
+            ks = [rng.normal(size=(dout, din)) + 1j * rng.normal(size=(dout, din)) for _ in range(n)]
+            want = reference_kraus_choi(ks, din, dout) * mask
+            got = channel_from_kraus(ks, s_in, s_out).choi
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("s", MIXES, ids=str)
+    def test_identity_and_cup(self, s):
+        kets = [x + x for x in basis(s)]
+        assert np.array_equal(identity(s).choi, decohered_pattern(kets, s * s))
+        assert np.array_equal(cup(s).choi, decohered_pattern(kets, s * s.dual()))
+
+    @pytest.mark.parametrize("a, b", [(a, b) for a in MIXES[:6] for b in MIXES[:6]][::3], ids=str)
+    def test_swap(self, a, b):
+        kets = [x + y + y + x for x in basis(a) for y in basis(b)]
+        assert np.array_equal(swap(a, b).choi, decohered_pattern(kets, a * b * b * a))
+
+    def test_empty_kraus_list_is_the_zero_map(self):
+        f = channel_from_kraus([], Q(2), C(3))
+        assert np.array_equal(f.choi, np.zeros((6, 6)))
+        assert is_zero(f)
+
+    def test_many_quantum_factors(self):
+        # 33 factors would need 66 tensor axes, past numpy's 64, if decoherence reshaped them
+        s = SystemType((WireFactor(QUANTUM, 1),) * 33)
+        f = ProcessTensor(s, TRIVIAL, np.eye(1))
+        assert f.input.dims == [1] * 33 and identity(s).choi.shape == (1, 1)
+
+    def test_classical_factor_among_many(self):
+        s = SystemType((WireFactor(QUANTUM, 1),) * 40 + (WireFactor(CLASSICAL, 2),))
+        assert np.array_equal(identity(s).choi, np.diag([1.0, 0.0, 0.0, 1.0]))
 
 
 class TestDagger:

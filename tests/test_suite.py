@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from proctheory import cli, suite, theories
 from proctheory.processes import ProcessTensor, compose_seq
@@ -22,6 +23,14 @@ def test_reports_reproducible():
     assert [suite.format_report(x) for x in a] == [suite.format_report(x) for x in b]
     c = suite.run_all(seed=8, dims=(2,), trials=10)
     assert [x.residual for x in a] != [x.residual for x in c]
+
+
+def test_run_all_rejects_empty_ranges():
+    with pytest.raises(ValueError, match="dims"):
+        suite.run_all(seed=1, dims=(0,), trials=5)
+    for trials in (0, -1):  # no trial would run, yet every check would report a pass
+        with pytest.raises(ValueError, match="trials"):
+            suite.run_all(seed=1, dims=(2,), trials=trials)
 
 
 def test_report_line_format():
