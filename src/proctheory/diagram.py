@@ -14,9 +14,13 @@ Ports name one wire factor each: ``node.in[k]``/``node.out[k]``, with the
 diagram's own boundary addressed as ``bound.in[k]``/``bound.out[k]``.
 Complex entries in ``choi`` literals are written ``a``, ``bi`` or ``a+bi``
 (imaginary parts carry an explicit coefficient, e.g. ``1i``). ``#`` starts
-a comment. Tokenisation is whitespace insensitive; identifiers may contain
-interior hyphens when followed by a letter, so theory names such as
-``qcalc-bullet`` are single tokens.
+a comment, which may hold any text; outside comments the language is ASCII,
+and any other character is a parse error. Tokenisation is whitespace
+insensitive; identifiers may contain interior hyphens when followed by a
+letter, so theory names such as ``qcalc-bullet`` are single tokens. A
+literal too large for a float (``1e999``) is rejected: as an integer at
+parse time, and in a ``choi`` literal by the finiteness check of
+``ProcessTensor``.
 
 Wiring is checked against the active theory's capabilities:
 
@@ -32,7 +36,9 @@ Diagnostics are rendered ``file:line:col: rule: message``.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +100,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | NUMBER | IMAG | punctuation kind | EOF
     text: str
     value: object
@@ -103,77 +108,44 @@ class Token:
     col: int
 
 
+# One alternative per token class, tried in order; some alternative matches
+# at every offset, so finditer skips no text. The last group matched names the
+# token, so a trailing ``i`` makes a NUMBER an IMAG. A comment is eaten with
+# the newline (or end of text) after it, so EOF after a final comment sits at
+# its '#'. BAD catches any other character.
+_TOKEN = re.compile(
+    r"""
+      (?P<IDENT>[A-Za-z_]\w*(?:-[A-Za-z]\w*)*)    # interior hyphen only before a letter
+    | (?P<NUMBER>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)(?P<IMAG>i)?
+    | (?P<PUNCT>->|[=:*()\[\]{},.+-])
+    | (?P<SKIP>[ \t\r]+)
+    | (?P<NEWLINE>(?:\#[^\n]*)?\n)
+    | (?P<EOF>(?:\#[^\n]*)?\Z)
+    | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+
 def _lex(text, path):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            # interior hyphen joined only when a letter follows (theory names)
-            while j + 1 < n and text[j] == "-" and text[j + 1].isalpha():
-                j += 2
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            word = text[i:j]
-            toks.append(Token("IDENT", word, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
-            kind = "NUMBER"
-            if j < n and text[j] == "i":
-                kind = "IMAG"
-                j += 1
-            toks.append(Token(kind, text[i:j], float(word), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text[i : i + 2] == "->":
-            toks.append(Token("ARROW", "->", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(_PUNCT[ch], ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(path, line, col, f"unexpected character {ch!r}")
-    toks.append(Token("EOF", "", None, line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "IDENT":
+            toks.append(Token(kind, word, word, line, col))
+        elif kind == "NUMBER" or kind == "IMAG":
+            toks.append(Token(kind, word, float(m["NUMBER"]), line, col))
+        elif kind == "PUNCT":
+            toks.append(Token(_PUNCT[word], word, word, line, col))
+        elif kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "EOF":
+            toks.append(Token(kind, "", None, line, col))
+            break
+        elif kind == "BAD":
+            raise ParseError(path, line, col, f"unexpected character {word!r}")
     return toks
 
 
@@ -265,8 +237,8 @@ class _Parser:
         self.path = path
         self.names = {}  # shared namespace: name -> "system" | "box" | "diagram"
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.pos]
 
     def advance(self):
         tok = self.toks[self.pos]
@@ -291,7 +263,7 @@ class _Parser:
 
     def expect_int(self, what):
         tok = self.expect("NUMBER", what)
-        if tok.value != int(tok.value):
+        if not tok.value.is_integer():
             self.error(tok, f"expected integer {what}, got {tok.text}")
         return int(tok.value)
 
@@ -340,22 +312,25 @@ class _Parser:
 
     def parse_factor(self, out):
         tok = self.expect("IDENT", "wire factor")
+        duals = 0  # nested dual(...) is counted, not recursed into, so no depth overflows
+        while tok.value == "dual":
+            self.expect("LPAREN", "'('")
+            duals += 1
+            tok = self.expect("IDENT", "wire factor")
         if tok.value in ("Q", "C"):
             self.expect("LPAREN", "'('")
             dim = self.expect_int("dimension")
             if dim < 1:
                 self.error(tok, f"wire dimension must be >= 1, got {dim}")
             self.expect("RPAREN", "')'")
-            kind = QUANTUM if tok.value == "Q" else CLASSICAL
-            return (WireFactor(kind, dim, UP),)
-        if tok.value == "dual":
-            self.expect("LPAREN", "'('")
-            inner = self.parse_factor(out)
+            factors = (WireFactor(QUANTUM if tok.value == "Q" else CLASSICAL, dim, UP),)
+        elif tok.value in out.systems:
+            factors = out.systems[tok.value].factors
+        else:
+            self.error(tok, f"undefined system reference {tok.value!r}")
+        for _ in range(duals):
             self.expect("RPAREN", "')'")
-            return tuple(f.dual() for f in inner)
-        if tok.value in out.systems:
-            return out.systems[tok.value].factors
-        self.error(tok, f"undefined system reference {tok.value!r}")
+        return factors if duals % 2 == 0 else tuple(f.dual() for f in factors)
 
     def parse_box(self, out):
         self.expect_word("box")
@@ -469,7 +444,7 @@ def parse(text, path="<string>"):
 
 
 def parse_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:  # bad bytes lex as U+FFFD
         return parse(fh.read(), str(path))
 
 

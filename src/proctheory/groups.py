@@ -179,11 +179,7 @@ class Representation:
 
     @property
     def quantum_dim(self):
-        d = 1
-        for f in self.system.factors:
-            if f.kind == QUANTUM:
-                d *= f.dim
-        return d
+        return _quantum_dim(self.system)
 
     def unitary(self, g):
         """Unitary on the full system (classical factors act as identity)."""
@@ -215,11 +211,12 @@ def validate_representation(r: Representation, tol: Tolerances = DEFAULT_TOL):
     return bad
 
 
+def _quantum_dim(system: SystemType):
+    return prod(f.dim for f in system.factors if f.kind == QUANTUM)
+
+
 def trivial_rep(group: FiniteGroup, system: SystemType):
-    dq = 1
-    for f in system.factors:
-        if f.kind == QUANTUM:
-            dq *= f.dim
+    dq = _quantum_dim(system)
     return Representation(group, system, tuple(np.eye(dq, dtype=complex) for _ in group.elements()))
 
 
@@ -278,10 +275,8 @@ class OrientedPartition:
             f.output.factors
         ):
             raise ValueError("partition does not match the process boundary")
-        for flag, fac in zip(self.input_retro, f.input.factors):
-            if fac.orientation == DOWN and not flag:
-                raise ValueError(f"factor {fac} is oriented down but marked causal")
-        for flag, fac in zip(self.output_retro, f.output.factors):
+        flags = (*self.input_retro, *self.output_retro)
+        for flag, fac in zip(flags, f.input.factors + f.output.factors):
             if fac.orientation == DOWN and not flag:
                 raise ValueError(f"factor {fac} is oriented down but marked causal")
 
@@ -322,6 +317,31 @@ def _sub_system(s: SystemType, flags, retro):
     return SystemType(tuple(f for f, is_r in zip(s.factors, flags) if is_r == retro))
 
 
+def _marginal(f, partition, dims, traced, eyes, retro, law, broken, tol, notes):
+    """One no-signalling direction: trace out ``traced``, require the rest to
+    be 1 on ``eyes`` tensored with a residue, and read the residue as the
+    retro (or causal) part, which must obey ``law``.
+
+    Returns (ok, residual, the part when ok else None); failures add notes.
+    """
+    keep = [i for i in range(len(dims)) if i not in traced]
+    g = partial_trace(f.choi, dims, keep)
+    res, mat = _matches_identity_product(g, [dims[i] for i in keep], [keep.index(i) for i in eyes], tol)
+    which = "retro" if retro else "causal"
+    s_in = _sub_system(f.input, partition.input_retro, retro)
+    s_out = _sub_system(f.output, partition.output_retro, retro)
+    try:
+        part = ProcessTensor(s_in, s_out, mat, tol)
+    except ValueError as exc:
+        notes.append(f"extracted {which} part is not a process: {exc}")
+        return False, res, None
+    if not law(part, tol):
+        notes.append(f"extracted {which} part {broken}")
+        return False, res, None
+    ok = res <= tol.eq_rel
+    return ok, res, part if ok else None
+
+
 def no_signalling(
     f: ProcessTensor, partition: OrientedPartition | None = None, tol: Tolerances = DEFAULT_TOL
 ):
@@ -342,48 +362,13 @@ def no_signalling(
     c_out = [n_in + i for i, r in enumerate(partition.output_retro) if not r]
     r_out = [n_in + i for i, r in enumerate(partition.output_retro) if r]
     notes = []
-
-    # causal -> retro: G = (discard causal outputs) . f
-    keep = [i for i in range(len(dims)) if i not in c_out]
-    g = partial_trace(f.choi, dims, keep)
-    # positions of the causal inputs inside G's factor list
-    g_cin = [keep.index(i) for i in c_in]
-    res_cr, fr_mat = _matches_identity_product(g, [dims[i] for i in keep], g_cin, tol)
-    ok_cr = res_cr <= tol.eq_rel
-    fr = None
-    s_r_in = _sub_system(f.input, partition.input_retro, True)
-    s_r_out = _sub_system(f.output, partition.output_retro, True)
-    try:
-        fr = ProcessTensor(s_r_in, s_r_out, fr_mat, tol)
-        if not preserves_identity(fr, tol):
-            ok_cr = False
-            notes.append("extracted retro part does not preserve the noise state")
-    except ValueError as exc:
-        ok_cr = False
-        notes.append(f"extracted retro part is not a process: {exc}")
-
-    # retro -> causal: G' = f . (noise on retro inputs)
-    keep = [i for i in range(len(dims)) if i not in r_in]
-    gp = partial_trace(f.choi, dims, keep)
-    gp_rout = [keep.index(i) for i in r_out]
-    res_rc, fc_mat = _matches_identity_product(gp, [dims[i] for i in keep], gp_rout, tol)
-    ok_rc = res_rc <= tol.eq_rel
-    fc = None
-    s_c_in = _sub_system(f.input, partition.input_retro, False)
-    s_c_out = _sub_system(f.output, partition.output_retro, False)
-    try:
-        fc = ProcessTensor(s_c_in, s_c_out, fc_mat, tol)
-        if not is_causal(fc, tol):
-            ok_rc = False
-            notes.append("extracted causal part is not trace preserving")
-    except ValueError as exc:
-        ok_rc = False
-        notes.append(f"extracted causal part is not a process: {exc}")
-
-    return NoSignallingVerdict(
-        ok_cr and ok_rc, ok_cr, ok_rc, res_cr, res_rc,
-        fc if ok_rc else None, fr if ok_cr else None, notes,
-    )
+    # causal -> retro: discard the causal outputs, leaving 1 on the causal inputs
+    ok_cr, res_cr, fr = _marginal(f, partition, dims, c_out, c_in, True, preserves_identity,
+                                  "does not preserve the noise state", tol, notes)
+    # retro -> causal: noise into the retro inputs, leaving 1 on the retro outputs
+    ok_rc, res_rc, fc = _marginal(f, partition, dims, r_in, r_out, False, is_causal,
+                                  "is not trace preserving", tol, notes)
+    return NoSignallingVerdict(ok_cr and ok_rc, ok_cr, ok_rc, res_cr, res_rc, fc, fr, notes)
 
 
 @dataclass

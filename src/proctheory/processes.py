@@ -114,7 +114,10 @@ class ProcessTensor:
 
     def __post_init__(self):
         choi = _shaped(self.input, self.output, self.choi)
-        scale = max(1.0, max_abs(choi))
+        peak = max_abs(choi)
+        if not peak < np.inf:  # NaN compares false too
+            raise ValueError("choi operator has non-finite entries")
+        scale = max(1.0, peak)
         try:
             lam = min_eigenvalue_hermitian(choi, self.tol)
         except NotHermitianError:
@@ -172,7 +175,7 @@ class Scalar:
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.value < -self.tol.zero_abs * max(1.0, abs(self.value)):
+        if not self.value >= -self.tol.zero_abs * max(1.0, abs(self.value)):
             raise ValueError(f"scalar must be nonnegative, got {self.value}")
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 

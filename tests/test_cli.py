@@ -260,3 +260,25 @@ def test_malformed_flag_exit_2(argv, env, message, capsys, monkeypatch):
 def test_theory_name_is_case_insensitive(capsys):
     code, out, err = run(capsys, "eval", GOOD / "loop_qubit.pd", "--theory", "QPHYS")
     assert (code, err) == (0, "") and out == "Loop: scalar 4.0\n"
+
+
+# Inputs the lexer once misread or crashed on: one diagnostic and exit 2, never a traceback.
+CHOI_INF = "box b : -> = choi [1e999]\ndiagram D { node n: b }\n"
+BAD_SOURCES = [
+    ("parse", "system q = Q(²)\n", "1:14: parse: unexpected character '²'"),
+    ("eval", "system q = Q(²)\n", "1:14: parse: unexpected character '²'"),
+    ("parse", "system q = Q(1e999)\n", "1:14: parse: expected integer dimension, got 1e999"),
+    ("check", "system q = Q(1e999)\n", "1:14: parse: expected integer dimension, got 1e999"),
+    ("eval", CHOI_INF, "1:5: semantic: invalid choi literal for 'b': choi operator has non-finite entries"),
+    ("quotient", CHOI_INF, "1:5: semantic: invalid choi literal for 'b': choi operator has non-finite entries"),
+    ("parse", b"system q = Q(2) \xff\n", "1:17: parse: unexpected character '�'"),
+]
+
+
+@pytest.mark.parametrize("command, source, diagnostic", BAD_SOURCES)
+def test_bad_source_exit_2(command, source, diagnostic, tmp_path, capsys):
+    p = tmp_path / "bad.pd"
+    p.write_bytes(source if isinstance(source, bytes) else source.encode())
+    code, out, err = run(capsys, command, p)
+    assert "Traceback" not in err
+    assert (code, out, err) == (2, "", f"{p}:{diagnostic}\n")

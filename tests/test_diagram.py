@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proctheory import diagram as D
 from proctheory import processes as P
@@ -121,7 +122,7 @@ def test_bad_choi_literal_is_semantic_error():
 # Planning
 
 
-def chain_diagram(n_boxes, cycle=False):
+def chain_source(n_boxes, cycle=False):
     """Identities in series on Q(2), open at both ends or closed into a cycle."""
     lines = ["system q = Q(2)", "box w : q -> q = id", "diagram Chain {"]
     lines += [f"  node n{i}: w" for i in range(n_boxes)]
@@ -130,7 +131,11 @@ def chain_diagram(n_boxes, cycle=False):
         lines += [f"  wire n{n_boxes - 1}.out[0] -> n0.in[0]"]
     else:
         lines += ["  wire bound.in[0] -> n0.in[0]", f"  wire n{n_boxes - 1}.out[0] -> bound.out[0]"]
-    return D.parse("\n".join(lines + ["}"]))
+    return "\n".join(lines + ["}"])
+
+
+def chain_diagram(n_boxes, cycle=False):
+    return D.parse(chain_source(n_boxes, cycle))
 
 
 def closed_chain(n):
@@ -144,7 +149,7 @@ def closed_chain(n):
     return D.parse("\n".join(lines + ["}"])).diagrams["Chain"]
 
 
-def snake_ladder(snakes):
+def ladder_source(snakes):
     """``snakes`` cup/cap zig-zags in series on Q(2); by the snake equation, the identity."""
     lines = ["system q = Q(2)", "box u : -> q * dual(q) = cup", "box e : q * dual(q) -> = cap",
              "diagram Ladder {"]
@@ -154,10 +159,14 @@ def snake_ladder(snakes):
         wires += [f"  wire {src} -> k{k}.in[0]", f"  wire c{k}.out[1] -> k{k}.in[1]"]
         src = f"c{k}.out[0]"
     wires.append(f"  wire {src} -> bound.out[0]")
-    return D.parse("\n".join(lines + wires + ["}"])).diagrams["Ladder"]
+    return "\n".join(lines + wires + ["}"])
 
 
-def brick_circuit(layers, width=4):
+def snake_ladder(snakes):
+    return D.parse(ladder_source(snakes)).diagrams["Ladder"]
+
+
+def brick_source(layers, width=4):
     """Swaps in a brick pattern on ``width`` Q(2) lines, opened by maxmix and closed by discard."""
     lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box g : q * q -> q * q = swap",
              "box tr : q -> = discard", "diagram Brick {"]
@@ -172,15 +181,23 @@ def brick_circuit(layers, width=4):
             gate += 1
     lines += [f"  node t{k}: tr" for k in range(width)]
     wires += [f"  wire {src[k]} -> t{k}.in[0]" for k in range(width)]
-    return D.parse("\n".join(lines + wires + ["}"])).diagrams["Brick"]
+    return "\n".join(lines + wires + ["}"])
 
 
-def pair_product(pairs):
+def brick_circuit(layers, width=4):
+    return D.parse(brick_source(layers, width)).diagrams["Brick"]
+
+
+def pairs_source(pairs):
     """``pairs`` disconnected maxmix -> discard pairs on Q(2): only outer products join them."""
     lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box tr : q -> = discard", "diagram Pairs {"]
     lines += [f"  node p{k}: mu\n  node f{k}: tr" for k in range(pairs)]
     lines += [f"  wire p{k}.out[0] -> f{k}.in[0]" for k in range(pairs)]
-    return D.parse("\n".join(lines + ["}"])).diagrams["Pairs"]
+    return "\n".join(lines + ["}"])
+
+
+def pair_product(pairs):
+    return D.parse(pairs_source(pairs)).diagrams["Pairs"]
 
 
 def test_chain_plan_has_pairwise_steps():
@@ -478,3 +495,173 @@ def test_good_corpus_typechecks_and_evaluates():
         for name, dg in pf.diagrams.items():
             assert D.typecheck(dg, compact=True) == [], (path, name)
             D.evaluate(dg, env)
+
+
+# ---------------------------------------------------------------------------
+# Lexer
+
+
+def reference_lex(text, path):
+    """The character-at-a-time scanner the compiled pattern replaced, kept as an oracle."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            # interior hyphen joined only when a letter follows (theory names)
+            while j + 1 < n and text[j] == "-" and text[j + 1].isalpha():
+                j += 2
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+            word = text[i:j]
+            toks.append(D.Token("IDENT", word, word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            word = text[i:j]
+            kind = "NUMBER"
+            if j < n and text[j] == "i":
+                kind = "IMAG"
+                j += 1
+            toks.append(D.Token(kind, text[i:j], float(word), start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if text[i : i + 2] == "->":
+            toks.append(D.Token("ARROW", "->", "->", start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in D._PUNCT:
+            toks.append(D.Token(D._PUNCT[ch], ch, ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise D.ParseError(path, line, col, f"unexpected character {ch!r}")
+    toks.append(D.Token("EOF", "", None, line, col))
+    return toks
+
+
+def lex_outcome(lex, text):
+    """Token tuples, or the ParseError diagnostic text."""
+    try:
+        return [tuple(tok) for tok in lex(text, "f.pd")]
+    except D.ParseError as exc:
+        return str(exc)
+
+
+def test_lexer_matches_reference_on_corpus_and_builders():
+    texts = [path.read_text() for path in sorted(GOOD.glob("*.pd")) + sorted(BAD.glob("*.pd"))]
+    texts += [chain_source(n, cycle) for n in (1, 2, 40) for cycle in (False, True)]
+    texts += [ladder_source(n) for n in (1, 30)] + [pairs_source(n) for n in (1, 30)]
+    texts += [brick_source(layers, width) for layers, width in ((1, 2), (6, 4), (9, 7))]
+    for text in texts:
+        assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text), text[:60]
+
+
+# Fragments that single characters rarely assemble: arrows, exponents, IMAG forms,
+# the hyphen rule, comments at the end of the text.
+ASCII_FRAGMENTS = ["->", "1e", "1e+", "2.5e-3i", "1.e5i", "0i", "qcalc-bullet", "a-b-c", "a-1",
+                   "_x-_y", "# c", "#", "\n", "choi [", "Q(", "1ei"]
+ascii_text = st.lists(
+    st.one_of(st.characters(min_codepoint=32, max_codepoint=126), st.sampled_from("\t\r\n\x0b"),
+              st.sampled_from(ASCII_FRAGMENTS)),
+    max_size=40,
+).map("".join)
+
+
+@given(ascii_text)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_lexer_matches_reference_on_ascii_text(text):
+    assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text)
+
+
+PD_FRAGMENTS = ["system q = ", "Q(2)", "C(3)", "Q(", "dual(", ")", " * ", "box b : ", " -> ", " = ",
+                "choi [", "1e999", "-2.5i", ", ", "]", "discard", "diagram D {", "node n: b",
+                "wire ", "bound.in[0]", "n.out[0]", "}", "check causal D in qphys", "\n", "# é"]
+
+
+@given(st.lists(st.one_of(st.text(max_size=3), st.sampled_from(PD_FRAGMENTS)), max_size=30).map("".join))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_raises_only_parse_errors_on_any_text(text):
+    # parse only: elaborating a generated Q(99999) box would allocate gigabytes
+    try:
+        D.parse(text)
+    except D.ParseError:
+        pass
+
+
+NON_ASCII = [
+    ("system q = Q(²)", 14, "²"),  # a digit to str.isdigit, but not to float()
+    ("system q = Q(٣)", 14, "٣"),  # once read as 3
+    ("system xⅧy = Q(2)", 9, "Ⅷ"),  # once part of an identifier
+    ("system q² = Q(2) # é", 9, "²"),
+]
+
+
+@pytest.mark.parametrize("text, col, char", NON_ASCII)
+def test_non_ascii_outside_comments_is_a_parse_error(text, col, char):
+    with pytest.raises(D.ParseError) as exc:
+        D.parse(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (1, col, f"unexpected character {char!r}")
+
+
+def test_comments_may_hold_any_text():
+    assert list(D.parse("system q = Q(2) # é Ⅷ ² ٣\n").systems) == ["q"]
+
+
+def test_eof_after_final_comment_sits_at_the_hash():
+    assert tuple(D._lex("a  # c", "f.pd")[-1]) == ("EOF", "", None, 1, 4)
+    assert tuple(D._lex("a  # c\n", "f.pd")[-1]) == ("EOF", "", None, 2, 1)
+    assert tuple(D._lex("a  ", "f.pd")[-1]) == ("EOF", "", None, 1, 4)
+    with pytest.raises(D.ParseError) as exc:
+        D.parse("system q = # c")
+    assert str(exc.value) == "<string>:1:12: parse: expected wire factor, got ''"
+
+
+def test_non_finite_literals_are_rejected():
+    with pytest.raises(D.ParseError, match="1:14: parse: expected integer dimension, got 1e999"):
+        D.parse("system q = Q(1e999)")
+    pf = D.parse("box b : -> = choi [1e999]\ndiagram X { node n: b }")
+    with pytest.raises(D.SemanticError, match="1:5: semantic: .*non-finite"):
+        D.build_env(pf)
+
+
+def test_deeply_nested_dual_parses_without_recursion():
+    nest = lambda depth, factor: "dual(" * depth + factor + ")" * depth
+    pf = D.parse(f"system q = {nest(5001, 'Q(2)')} * {nest(5000, 'C(3)')}")
+    assert pf.systems["q"] == Q(2).dual() * C(3)

@@ -188,6 +188,25 @@ class TestNoSignalling:
         assert v.ok
         assert v.residual_causal_to_retro < 1e-12 and v.residual_retro_to_causal < 1e-12
 
+    def test_verdicts_and_notes_per_direction(self):
+        q, qd = Q(2), Q(2, DOWN)
+        lean = compose_par(discard(q), state(np.diag([1.0, 0.0]), qd))  # retro state is not noise
+        bent_id = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex)
+        retro, causal = ("extracted retro part does not preserve the noise state",
+                         "extracted causal part is not trace preserving")
+        cases = [
+            (compose_par(discard(q), P.noise_state(qd)), (True, True, 0.0, 0.0), []),
+            (lean, (False, False, 0.0, 0.5), [retro, causal]),
+            (P.ProcessTensor(q, qd, 2 * lean.choi), (False, False, 0.0, 0.5), [retro]),
+            (P.ProcessTensor(q, qd, bent_id), (False, False, 1.0, 1.0), [retro, causal]),
+        ]
+        for f, verdict, notes in cases:
+            v = G.no_signalling(f)
+            assert (v.causal_to_retro, v.retro_to_causal) == verdict[:2]
+            assert (v.residual_causal_to_retro, v.residual_retro_to_causal) == pytest.approx(verdict[2:], abs=1e-12)
+            assert v.notes == notes
+            assert (v.f_c is None, v.f_r is None) == (not verdict[1], not verdict[0])
+
 
 class TestQPartMembership:
     def test_unitary_channel_on_causal_wires(self):
@@ -254,3 +273,5 @@ class TestQPartMembership:
         f = cup(Q(2))
         with pytest.raises(ValueError, match="oriented down"):
             G.OrientedPartition((), (False, False)).check_consistent(f)
+        with pytest.raises(ValueError, match=r"factor dual\(Q\(2\)\) is oriented down"):
+            G.OrientedPartition((False, False), ()).check_consistent(cap(Q(2)))

@@ -347,6 +347,15 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match="not Hermitian"):
             ProcessTensor(Q(2), TRIVIAL, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 0)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ProcessTensor(TRIVIAL, TRIVIAL, [[bad]])
+        choi = np.eye(4, dtype=complex)
+        choi[1, 2] = choi[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ProcessTensor(Q(2), Q(2), choi)
+
     def test_trusted_checks_shape_and_freezes(self):
         with pytest.raises(ProcessTypeError, match="choi must be 4x4"):
             ProcessTensor._trusted(Q(2), Q(2), np.eye(2))
@@ -373,6 +382,8 @@ class TestScalarTolerance:
             P.Scalar(-1e-3)
         with pytest.raises(ValueError, match="nonnegative"):
             P.Scalar(-5.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            P.Scalar(float("nan"))
 
     def test_as_scalar_honours_callers_tolerances(self):
         # a closed value with a sign error, as a faulty trusted composite would carry
