@@ -118,7 +118,7 @@ def cmd_eval(args):
         if not _typecheck_or_report(d, theory, args.strict_orientation, args.file):
             ok = False
             continue
-        _print_process(name, dlang.evaluate(d, env, tol), tol)
+        _print_process(name, dlang.evaluate(d, env), tol)
     return EXIT_OK if ok else EXIT_TYPECHECK
 
 
@@ -128,8 +128,40 @@ def _resolve_target(parsed, env, directive, theory, strict, tol, path):
         d = parsed.diagrams[directive.target]
         if not _typecheck_or_report(d, theory, strict, path):
             return None
-        return dlang.evaluate(d, env, tol)
+        return dlang.evaluate(d, env)
     return env[directive.target]
+
+
+# directives may also name qpart (particles/antiparticles): it wires like qcalc
+_QPART = theories.Theory("qpart", compact=True)
+_DIRECTIVE_THEORIES = {**THEORIES, _QPART.name: _QPART}
+_LAWS = {"causal": is_causal, "retrocausal": preserves_identity, "unital": preserves_max_mixed}
+CHECK_PROPS = (*_LAWS, "member", "intertwiner", "nosignalling")
+
+
+def _judge(prop, theory, f, rep_in, rep_out, tol):
+    """``(passed, detail)`` for one check directive on ``f``, or ``(None, diagnostic)``."""
+    if prop in _LAWS:
+        return _LAWS[prop](f, tol), ""
+    if prop == "nosignalling":
+        verdict = groups.no_signalling(f, tol=tol)
+        return verdict.ok, "" if verdict.ok else f" (signalling: {', '.join(verdict.failed_directions())})"
+    if prop == "member" and theory is not _QPART:
+        verdict = membership(theory, f, tol)
+        return verdict.ok, "" if verdict.ok else f" ({verdict})"
+    ri = ro = None  # the loaded representations, moved onto f's input and output
+    if rep_in and rep_out:
+        try:
+            ri = groups.Representation(rep_in.group, f.input, rep_in.action)
+            ro = groups.Representation(rep_out.group, f.output, rep_out.action)
+        except ValueError as exc:
+            return None, str(exc)
+    if prop == "intertwiner":
+        if ri is None:
+            return None, "supply --rep-in and --rep-out files"
+        return groups.is_intertwiner(f, ri, ro, tol), ""
+    verdict = groups.qpart_membership(f, ri, ro, tol=tol)
+    return verdict.ok, "" if verdict.ok else f" ({verdict})"
 
 
 def cmd_check(args):
@@ -141,67 +173,31 @@ def cmd_check(args):
     for path in (args.rep_in, args.rep_out):
         try:
             reps.append(groups.load_representation(path) if path else None)
-        except OSError as exc:
-            print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            print(f"{path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return EXIT_PARSE
-        except ValueError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    rep_in, rep_out = reps
 
-    had_typecheck_failure = False
     all_pass = True
     for directive in parsed.checks:
         label = f"check {directive.prop} {directive.target} in {directive.theory}"
-        if directive.prop not in dlang.CHECK_PROPS:
+        if directive.prop not in CHECK_PROPS:
             print(f"{label}: unknown property {directive.prop!r}", file=sys.stderr)
             return EXIT_UNKNOWN_PROP
-        try:
-            theory = theory_by_name(directive.theory) if directive.theory != "qpart" else None
-        except KeyError as exc:
-            print(f"{label}: {exc}", file=sys.stderr)
+        theory = _DIRECTIVE_THEORIES.get(directive.theory.lower())
+        if theory is None:
+            print(f"{label}: unknown theory {directive.theory!r}; "
+                  f"expected one of {sorted(_DIRECTIVE_THEORIES)}", file=sys.stderr)
             return EXIT_PARSE
-        caps = theory if theory is not None else theories.QCALC
-        f = _resolve_target(parsed, env, directive, caps, args.strict_orientation, tol, args.file)
+        f = _resolve_target(parsed, env, directive, theory, args.strict_orientation, tol, args.file)
         if f is None:
-            had_typecheck_failure = True
             all_pass = False
             continue
-        ri = ro = None  # the loaded representations, on f's input and output
-        uses_reps = directive.prop == "intertwiner" or (directive.prop == "member" and theory is None)
-        if uses_reps and rep_in and rep_out:
-            try:
-                ri = groups.Representation(rep_in.group, f.input, rep_in.action)
-                ro = groups.Representation(rep_out.group, f.output, rep_out.action)
-            except ValueError as exc:
-                print(f"{label}: {exc}", file=sys.stderr)
-                return EXIT_PARSE
-        if directive.prop == "causal":
-            good, detail = is_causal(f, tol), ""
-        elif directive.prop == "retrocausal":
-            good, detail = preserves_identity(f, tol), ""
-        elif directive.prop == "unital":
-            good, detail = preserves_max_mixed(f, tol), ""
-        elif directive.prop == "member":
-            if theory is None:
-                verdict = groups.qpart_membership(f, ri, ro, tol=tol)
-            else:
-                verdict = membership(theory, f, tol)
-            good = verdict.ok
-            detail = "" if good else f" ({verdict})"
-        elif directive.prop == "intertwiner":
-            if ri is None:
-                print(f"{label}: supply --rep-in and --rep-out files", file=sys.stderr)
-                return EXIT_PARSE
-            good, detail = groups.is_intertwiner(f, ri, ro, tol), ""
-        elif directive.prop == "nosignalling":
-            verdict = groups.no_signalling(f, tol=tol)
-            good = verdict.ok
-            detail = "" if good else f" (signalling: {', '.join(verdict.failed_directions())})"
+        good, detail = _judge(directive.prop, theory, f, *reps, tol)
+        if good is None:
+            print(f"{label}: {detail}", file=sys.stderr)
+            return EXIT_PARSE
         print(f"{label}: {'pass' if good else 'fail'}{detail}")
         all_pass = all_pass and good
-    if had_typecheck_failure:
-        return EXIT_TYPECHECK
     return EXIT_OK if all_pass else EXIT_TYPECHECK
 
 
@@ -218,7 +214,7 @@ def cmd_quotient(args):
     if loaded is None:
         return EXIT_PARSE
     parsed, env, tol = loaded
-    theory = theory_by_name("qcalc")
+    theory = theories.QCALC
     targets = _targets(args, parsed)
     if targets is None:
         return EXIT_PARSE
@@ -228,7 +224,7 @@ def cmd_quotient(args):
         if not _typecheck_or_report(d, theory, args.strict_orientation, args.file):
             ok = False
             continue
-        f = dlang.evaluate(d, env, tol)
+        f = dlang.evaluate(d, env)
         n = normalization_scalar(f).value
         cls = theories.canonical_rep(f, tol)
         print(f"{name}: N={n!r} zero={cls.is_zero_class(tol)}")

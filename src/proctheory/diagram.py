@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 GENERATORS = ("discard", "maxmix", "noise", "id", "swap", "cup", "cap")
-CHECK_PROPS = ("causal", "retrocausal", "unital", "member", "intertwiner", "nosignalling")
 
 
 def format_diagnostic(path, line, col, rule, message):
@@ -493,7 +492,7 @@ def _build_box(decl: BoxDecl, path, tol):
         if not half.same_carrier(second):
             raise err(f"{g} halves do not match: {half} vs {second}")
         base = cup_gen(half, tol) if g == "cup" else cap_gen(half, tol)
-        return ProcessTensor._trusted(s_in, s_out, base.choi, tol)
+        return ProcessTensor._trusted(s_in, s_out, base.choi)
     if g == "swap":
         m = len(s_in.factors)
         splits = [
@@ -506,7 +505,7 @@ def _build_box(decl: BoxDecl, path, tol):
         k = splits[0]
         a, b = SystemType(s_in.factors[:k]), SystemType(s_in.factors[k:])
         base = swap_gen(a, b, tol)
-        return ProcessTensor._trusted(s_in, s_out, base.choi, tol)
+        return ProcessTensor._trusted(s_in, s_out, base.choi)
     raise err(f"unknown generator {g!r}")
 
 
@@ -765,7 +764,9 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
     ``env`` maps box names to processes; ``contraction`` overrides the greedy
     plan. The result's input (output) factors follow the bound.in (bound.out)
     indices; a closed diagram yields a trivial -> trivial process, readable
-    with :func:`proctheory.processes.as_scalar`.
+    with :func:`proctheory.processes.as_scalar`. Wiring valid processes
+    needs no tolerance, so ``tol`` is unused; it stays in the signature for
+    callers that pass it positionally.
     """
     names = diagram.node_order()
     # wire labels: ket 2w, bra 2w+1
@@ -839,4 +840,4 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
     s_in = SystemType(tuple(in_factors))
     s_out = SystemType(tuple(out_factors))
     side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor._trusted(s_in, s_out, final.reshape(side, side), tol)
+    return ProcessTensor._trusted(s_in, s_out, final.reshape(side, side))

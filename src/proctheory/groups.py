@@ -27,6 +27,7 @@ from .numerics import (
 )
 from .processes import ProcessTensor, is_causal, preserves_identity
 from .systems import CLASSICAL, DOWN, QUANTUM, SystemType
+from .theories import MembershipVerdict
 
 __all__ = [
     "FiniteGroup",
@@ -371,19 +372,6 @@ def no_signalling(
     return NoSignallingVerdict(ok_cr and ok_rc, ok_cr, ok_rc, res_cr, res_rc, fc, fr, notes)
 
 
-@dataclass
-class QPartVerdict:
-    ok: bool
-    checks: dict = field(default_factory=dict)
-    reasons: list = field(default_factory=list)
-    ns: NoSignallingVerdict | None = None
-
-    def __str__(self):
-        status = "member" if self.ok else "not a member"
-        why = f": failed {', '.join(self.reasons)}" if self.reasons else ""
-        return f"{status} of qpart{why}"
-
-
 def qpart_membership(
     f: ProcessTensor,
     rep_in: Representation | None = None,
@@ -415,7 +403,7 @@ def qpart_membership(
     if purely_retro and all(checks.values()):
         checks["derived-retrocausal"] = preserves_identity(f, tol)
     reasons = [k for k, v in checks.items() if not v]
-    return QPartVerdict(not reasons, checks, reasons, ns)
+    return MembershipVerdict(not reasons, "qpart", checks, reasons, ns=ns)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ _INPUT_ROLES = ("past", "a-out", "b-out")
 _OUTPUT_ROLES = ("a-in", "b-in", "future")
 
 
-def bend(f: ProcessTensor, side, index, tol: Tolerances = DEFAULT_TOL):
+def bend(f: ProcessTensor, side, index):
     """Move boundary factor ``index`` on ``side`` ("in"/"out") to the end of
     the other side, orientation flipped.
 
@@ -65,7 +65,7 @@ def bend(f: ProcessTensor, side, index, tol: Tolerances = DEFAULT_TOL):
     t = f.legs().transpose(order + [i + n for i in order])
     s_in, s_out = SystemType(new_in), SystemType(new_out)
     side_len = s_in.total_dim * s_out.total_dim
-    return ProcessTensor._trusted(s_in, s_out, t.reshape(side_len, side_len), tol)
+    return ProcessTensor._trusted(s_in, s_out, t.reshape(side_len, side_len))
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def _kets_bras(legs):
     return [(leg, 0) for leg in legs] + [(leg, 1) for leg in legs]
 
 
-def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor,
-                         tol: Tolerances = DEFAULT_TOL):
+def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor):
     """Plug channels into the slots: contract W with choi(a), then with choi(b).
 
     Each slot channel's leading input factors must match the slot's input
@@ -169,7 +168,7 @@ def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor,
     s_in = w.slot_system("past") * SystemType(extras["a"][0]) * SystemType(extras["b"][0])
     s_out = SystemType(extras["a"][1]) * SystemType(extras["b"][1]) * w.slot_system("future")
     side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor._trusted(s_in, s_out, res.reshape(side, side), tol)
+    return ProcessTensor._trusted(s_in, s_out, res.reshape(side, side))
 
 
 def ordered_process_channel(past: SystemType, mid: SystemType, late: SystemType,
@@ -186,8 +185,7 @@ def ordered_process_channel(past: SystemType, mid: SystemType, late: SystemType,
     return identity(past * mid * late, tol)
 
 
-def circuit_form_channel(g1: ProcessTensor, g2: ProcessTensor, g3: ProcessTensor,
-                         tol: Tolerances = DEFAULT_TOL):
+def circuit_form_channel(g1: ProcessTensor, g2: ProcessTensor, g3: ProcessTensor):
     """Swap-plugged channel of a general causally ordered circuit with memory.
 
     ``g1: P -> A_in (x) M1``, ``g2: A_out (x) M1 -> B_in (x) M2``,
@@ -216,4 +214,4 @@ def circuit_form_channel(g1: ProcessTensor, g2: ProcessTensor, g3: ProcessTensor
     t = contract(t, "paPAxbnXBN", grouped(g3, "ynf"), "ynfYNF", "pxyabfPXYABF")
     s_in, s_out = g1.input * a_out * b_out, a_in * b_in * g3.output
     side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor._trusted(s_in, s_out, t.reshape(side, side), tol)
+    return ProcessTensor._trusted(s_in, s_out, t.reshape(side, side))

@@ -28,7 +28,6 @@ __all__ = [
     "dagger",
     "max_abs",
     "mats_close",
-    "is_hermitian",
     "kron",
     "partial_trace",
     "factors_in_order",
@@ -107,13 +106,6 @@ def mats_close(a, b, tol: Tolerances = DEFAULT_TOL):
         return False
     scale = max(1.0, max_abs(a), max_abs(b))
     return max_abs(a - b) <= tol.eq_rel * scale
-
-
-def is_hermitian(a, tol: Tolerances = DEFAULT_TOL):
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return max_abs(a - dagger(a)) <= tol.eq_rel * max(1.0, max_abs(a))
 
 
 def kron(a, b):

@@ -25,7 +25,7 @@ supertheory (arbitrary CP maps, cups, caps, supernormalised states).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -105,40 +105,43 @@ def _shaped(s_in: SystemType, s_out: SystemType, choi):
 
 @dataclass(frozen=True)
 class ProcessTensor:
-    """A completely positive map between systems, as an input (x) output Choi matrix."""
+    """A completely positive map between systems, as an input (x) output Choi matrix.
+
+    ``tol`` is the slack of the validity check and is not stored.
+    """
 
     input: SystemType
     output: SystemType
     choi: np.ndarray = field(repr=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         choi = _shaped(self.input, self.output, self.choi)
         peak = max_abs(choi)
         if not peak < np.inf:  # NaN compares false too
             raise ValueError("choi operator has non-finite entries")
         scale = max(1.0, peak)
         try:
-            lam = min_eigenvalue_hermitian(choi, self.tol)
+            lam = min_eigenvalue_hermitian(choi, tol)
         except NotHermitianError:
             raise ValueError("choi operator is not Hermitian") from None
-        if lam < -self.tol.psd_rel * scale:
+        if lam < -tol.psd_rel * scale:
             raise ValueError("choi operator is not PSD: map is not completely positive")
-        if max_abs(choi - _decohere(choi, self.input, self.output)) > self.tol.zero_abs * scale:
+        if max_abs(choi - _decohere(choi, self.input, self.output)) > tol.zero_abs * scale:
             raise ValueError("choi operator violates classical decoherence")
         choi = choi.copy()
         choi.setflags(write=False)
         object.__setattr__(self, "choi", choi)
 
     @classmethod
-    def _trusted(cls, input, output, choi, tol: Tolerances = DEFAULT_TOL):
+    def _trusted(cls, input, output, choi):
         """A process built from valid processes by wiring or by a nonnegative
         rescaling, which keeps it valid: only the shape is checked, and
         ``choi`` (a fresh array) is frozen in place of a copy."""
         choi = _shaped(input, output, choi)
         choi.setflags(write=False)
         f = object.__new__(cls)
-        for name, value in (("input", input), ("output", output), ("choi", choi), ("tol", tol)):
+        for name, value in (("input", input), ("output", output), ("choi", choi)):
             object.__setattr__(f, name, value)
         return f
 
@@ -168,15 +171,16 @@ class Scalar:
     """A closed diagram's value: a nonnegative real.
 
     A value below zero by at most ``tol.zero_abs * max(1, |value|)`` is
-    rounding and reads as 0; anything more negative is rejected.
+    rounding and reads as 0; anything more negative is rejected, and so are
+    NaN and the infinities. ``tol`` is not stored.
     """
 
     value: float
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
-    def __post_init__(self):
-        if not self.value >= -self.tol.zero_abs * max(1.0, abs(self.value)):
-            raise ValueError(f"scalar must be nonnegative, got {self.value}")
+    def __post_init__(self, tol):
+        if not (abs(self.value) < np.inf and self.value >= -tol.zero_abs * max(1.0, abs(self.value))):
+            raise ValueError(f"scalar must be finite and nonnegative, got {self.value}")
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 
 
@@ -205,7 +209,7 @@ def _first_mismatch(a: SystemType, b: SystemType):
     return len(min(a.factors, b.factors, key=len)), None, None
 
 
-def compose_seq(g: ProcessTensor, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
+def compose_seq(g: ProcessTensor, f: ProcessTensor):
     """Sequential composition g after f (output of f wired into input of g)."""
     if not f.output.same_carrier(g.input):
         k, fa, fb = _first_mismatch(f.output, g.input)
@@ -215,23 +219,23 @@ def compose_seq(g: ProcessTensor, f: ProcessTensor, tol: Tolerances = DEFAULT_TO
         )
     j = contract(f.choi4(), "abAB", g.choi4(), "bcBC", "acAC")
     side = f.din * g.dout
-    return ProcessTensor._trusted(f.input, g.output, j.reshape(side, side), tol)
+    return ProcessTensor._trusted(f.input, g.output, j.reshape(side, side))
 
 
-def compose_par(f: ProcessTensor, g: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
+def compose_par(f: ProcessTensor, g: ProcessTensor):
     """Parallel composition f (x) g (concatenated inputs and outputs)."""
     j = contract(f.choi4(), "abAB", g.choi4(), "cdCD", "acbdACBD")
     s_in = f.input * g.input
     s_out = f.output * g.output
     side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor._trusted(s_in, s_out, j.reshape(side, side), tol)
+    return ProcessTensor._trusted(s_in, s_out, j.reshape(side, side))
 
 
-def dagger_h(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
+def dagger_h(f: ProcessTensor):
     """Hermitian-adjoint dagger: Tr[Y^dag f(X)] = Tr[dagger_h(f)(Y)^dag X]."""
     j = f.choi4().transpose(1, 0, 3, 2).conj()
     side = f.din * f.dout
-    return ProcessTensor._trusted(f.output, f.input, j.reshape(side, side), tol)
+    return ProcessTensor._trusted(f.output, f.input, j.reshape(side, side))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def cup(s: SystemType, tol: Tolerances = DEFAULT_TOL):
 
 def cap(s: SystemType, tol: Tolerances = DEFAULT_TOL):
     """Adjoint of the cup: effect on s (x) dual(s)."""
-    return dagger_h(cup(s, tol), tol)
+    return dagger_h(cup(s, tol))
 
 
 def swap(a: SystemType, b: SystemType, tol: Tolerances = DEFAULT_TOL):

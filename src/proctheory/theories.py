@@ -1,10 +1,12 @@
 """Process theories over the Choi-operator processes, and constructions on them.
 
-A theory is a named membership predicate plus a composition discipline: the
-physical theory of channels (trace preserving), its unital subtheory with a
-rescaled dagger, the calculational supertheory of all CP maps (with cups and
-caps), the renormalised bullet theory, the scalar quotient, and the
-noise-restricted deterministic theory.
+A theory is data: a name, whether its wires may bend (cups and caps), and
+the laws its processes obey beyond complete positivity, each a named
+predicate. The six rows are the physical theory of channels (discard
+preserving), its unital subtheory with a rescaled dagger, the calculational
+supertheory of all CP maps, the renormalised bullet theory (Oreshkov & Cerf,
+Nature Physics 11, 853, 2015), the scalar quotient, and the noise-restricted
+deterministic theory. ``membership`` runs a row's laws in order.
 
 The normalisation functional N(f) = Tr[choi]/dim_in is the single positive
 linear functional the bullet/quotient constructions hinge on: N(identity)=1,
@@ -21,7 +23,6 @@ import numpy as np
 from .numerics import DEFAULT_TOL, Tolerances, mats_close, max_abs, min_eigenvalue_hermitian
 from .processes import (
     ProcessTensor,
-    ProcessTypeError,
     Scalar,
     compose_seq,
     dagger_h,
@@ -48,26 +49,33 @@ __all__ = [
     "dagger_unital",
 ]
 
-ACYCLIC = "acyclic-only"
-COMPACT = "compact"
-
 
 @dataclass(frozen=True)
 class Theory:
+    """``compact`` allows cups and caps; ``laws`` are ``(check name,
+    predicate(f, tol))`` pairs that members obey beyond complete positivity."""
+
     name: str
-    wiring: str  # ACYCLIC or COMPACT
-
-    @property
-    def compact(self):
-        return self.wiring == COMPACT
+    compact: bool
+    laws: tuple = ()
 
 
-QPHYS = Theory("qphys", ACYCLIC)
-QPHYS_UNITAL = Theory("qphys-unital", ACYCLIC)
-QCALC = Theory("qcalc", COMPACT)
-QCALC_BULLET = Theory("qcalc-bullet", COMPACT)
-QCALC_QUOTIENT = Theory("qcalc-quotient", COMPACT)
-QNEUT = Theory("qneut", COMPACT)
+def _is_representative(f: ProcessTensor, tol: Tolerances):
+    """Bullet representatives are zero or normalised: N(f) = 1."""
+    return is_zero(f, tol) or abs(normalization_scalar(f).value - 1.0) <= tol.eq_rel
+
+
+def _is_strictly_positive(f: ProcessTensor, tol: Tolerances):
+    """qneut processes have a positive definite Choi operator."""
+    return min_eigenvalue_hermitian(f.choi, tol) > tol.psd_rel * max(1.0, max_abs(f.choi))
+
+
+QPHYS = Theory("qphys", False, (("causal", is_causal),))
+QPHYS_UNITAL = Theory("qphys-unital", False, (("causal", is_causal), ("unital", preserves_max_mixed)))
+QCALC = Theory("qcalc", True)
+QCALC_BULLET = Theory("qcalc-bullet", True, (("representative", _is_representative),))
+QCALC_QUOTIENT = Theory("qcalc-quotient", True)
+QNEUT = Theory("qneut", True, (("strictly-positive", _is_strictly_positive),))
 
 THEORIES = {t.name: t for t in (QPHYS, QPHYS_UNITAL, QCALC, QCALC_BULLET, QCALC_QUOTIENT, QNEUT)}
 
@@ -81,11 +89,14 @@ def theory_by_name(name):
 
 @dataclass
 class MembershipVerdict:
+    """Checks by name, in order; ``n_value`` is N(f), ``ns`` the qpart no-signalling verdict."""
+
     ok: bool
     theory: str
     checks: dict = field(default_factory=dict)
     reasons: list = field(default_factory=list)
     n_value: float | None = None
+    ns: object = None
 
     def __str__(self):
         status = "member" if self.ok else "not a member"
@@ -95,29 +106,11 @@ class MembershipVerdict:
 
 
 def membership(theory: Theory, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
-    """Evaluate the theory's membership predicate, reporting failed checks by name."""
-    checks = {"cp": True}  # ProcessTensor construction enforces complete positivity
-    n = normalization_scalar(f).value
-    if theory.name == "qphys":
-        checks["causal"] = is_causal(f, tol)
-    elif theory.name == "qphys-unital":
-        checks["causal"] = is_causal(f, tol)
-        checks["unital"] = preserves_max_mixed(f, tol)
-    elif theory.name == "qcalc":
-        pass
-    elif theory.name == "qcalc-bullet":
-        checks["representative"] = is_zero(f, tol) or abs(n - 1.0) <= tol.eq_rel
-    elif theory.name == "qcalc-quotient":
-        pass
-    elif theory.name == "qneut":
-        scale = max(1.0, max_abs(f.choi))
-        checks["strictly-positive"] = (
-            min_eigenvalue_hermitian(f.choi, tol) > tol.psd_rel * scale
-        )
-    else:
-        raise KeyError(f"unknown theory {theory.name!r}")
+    """Evaluate the theory's laws, reporting failed checks by name."""
+    # ProcessTensor construction enforces complete positivity
+    checks = {"cp": True, **{name: law(f, tol) for name, law in theory.laws}}
     reasons = [name for name, ok in checks.items() if not ok]
-    return MembershipVerdict(not reasons, theory.name, checks, reasons, n_value=n)
+    return MembershipVerdict(not reasons, theory.name, checks, reasons, normalization_scalar(f).value)
 
 
 def normalization_scalar(f: ProcessTensor):
@@ -127,7 +120,7 @@ def normalization_scalar(f: ProcessTensor):
 
 def bullet_compose(g: ProcessTensor, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Renormalised sequential composition: (g o f)/N(g o f), or zero."""
-    return canonical_rep(compose_seq(g, f, tol), tol).canonical
+    return canonical_rep(compose_seq(g, f), tol).canonical
 
 
 @dataclass(frozen=True)
@@ -146,8 +139,8 @@ class ProcessClass:
 def canonical_rep(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     n = normalization_scalar(f).value
     if n <= tol.zero_abs:
-        return ProcessClass(ProcessTensor._trusted(f.input, f.output, np.zeros_like(f.choi), tol))
-    return ProcessClass(ProcessTensor._trusted(f.input, f.output, f.choi / n, tol))
+        return ProcessClass(ProcessTensor._trusted(f.input, f.output, np.zeros_like(f.choi)))
+    return ProcessClass(ProcessTensor._trusted(f.input, f.output, f.choi / n))
 
 
 def class_equal(a: ProcessClass, b: ProcessClass, tol: Tolerances = DEFAULT_TOL):
@@ -159,12 +152,12 @@ def class_equal(a: ProcessClass, b: ProcessClass, tol: Tolerances = DEFAULT_TOL)
 
 def quotient_compose(a: ProcessClass, b: ProcessClass, tol: Tolerances = DEFAULT_TOL):
     """Compose classes through arbitrary representatives; well defined by construction."""
-    return canonical_rep(compose_seq(a.canonical, b.canonical, tol), tol)
+    return canonical_rep(compose_seq(a.canonical, b.canonical), tol)
 
 
 def class_dagger(a: ProcessClass, tol: Tolerances = DEFAULT_TOL):
     """Hermitian adjoint descends to the quotient."""
-    return canonical_rep(dagger_h(a.canonical, tol), tol)
+    return canonical_rep(dagger_h(a.canonical), tol)
 
 
 @dataclass(frozen=True)
@@ -198,5 +191,5 @@ def dagger_unital(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     verdict = membership(QPHYS_UNITAL, f, tol)
     if not verdict.ok:
         raise ValueError(f"dagger_unital precondition failed: {verdict}")
-    g = dagger_h(f, tol)
-    return ProcessTensor._trusted(g.input, g.output, g.choi * (f.dout / f.din), tol)
+    g = dagger_h(f)
+    return ProcessTensor._trusted(g.input, g.output, g.choi * (f.dout / f.din))

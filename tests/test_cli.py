@@ -282,3 +282,52 @@ def test_bad_source_exit_2(command, source, diagnostic, tmp_path, capsys):
     code, out, err = run(capsys, command, p)
     assert "Traceback" not in err
     assert (code, out, err) == (2, "", f"{p}:{diagnostic}\n")
+
+
+# `check member` under every directive theory: the exact line, with N and the failed laws
+MEMBER_FILE = (
+    "system q = Q(2)\n"
+    "box mu : -> q = maxmix\n"
+    "box nu : -> q = noise\n"
+    "box twice : q -> q = choi [2,0,0,2, 0,0,0,0, 0,0,0,0, 2,0,0,2]\n"  # twice the identity
+    "check member {box} in {theory}\n"
+)
+NO_SIGNALLING_BOTH = "failed no-signalling-causal-retro, no-signalling-retro-causal"
+MEMBER_ROWS = [
+    ("mu", theory, 0, "pass")
+    for theory in ("qphys", "qphys-unital", "qcalc", "qcalc-bullet", "qcalc-quotient", "qneut", "qpart")
+] + [
+    ("nu", "qphys", 1, "fail (not a member of qphys (N=2): failed causal)"),
+    ("nu", "qphys-unital", 1, "fail (not a member of qphys-unital (N=2): failed causal, unital)"),
+    ("nu", "qcalc", 0, "pass"),
+    ("nu", "qcalc-bullet", 1, "fail (not a member of qcalc-bullet (N=2): failed representative)"),
+    ("nu", "qcalc-quotient", 0, "pass"),
+    ("nu", "qneut", 0, "pass"),
+    ("nu", "qpart", 1, f"fail (not a member of qpart: {NO_SIGNALLING_BOTH})"),
+    ("twice", "qphys", 1, "fail (not a member of qphys (N=2): failed causal)"),
+    ("twice", "qphys-unital", 1, "fail (not a member of qphys-unital (N=2): failed causal, unital)"),
+    ("twice", "qcalc", 0, "pass"),
+    ("twice", "qcalc-bullet", 1, "fail (not a member of qcalc-bullet (N=2): failed representative)"),
+    ("twice", "qcalc-quotient", 0, "pass"),
+    ("twice", "qneut", 1, "fail (not a member of qneut (N=2): failed strictly-positive)"),
+    ("twice", "qpart", 1, f"fail (not a member of qpart: {NO_SIGNALLING_BOTH})"),
+    ("twice", "QPART", 1, f"fail (not a member of qpart: {NO_SIGNALLING_BOTH})"),
+    ("twice", "QPhys", 1, "fail (not a member of qphys (N=2): failed causal)"),
+]
+
+
+@pytest.mark.parametrize("box, theory, code, verdict", MEMBER_ROWS)
+def test_check_member_table(box, theory, code, verdict, tmp_path, capsys):
+    p = tmp_path / "member.pd"
+    p.write_text(MEMBER_FILE.format(box=box, theory=theory))
+    assert run(capsys, "check", p) == (code, f"check member {box} in {theory}: {verdict}\n", "")
+
+
+def test_check_unknown_theory_exit_2(tmp_path, capsys):
+    p = tmp_path / "member.pd"
+    p.write_text(MEMBER_FILE.format(box="mu", theory="nope"))
+    code, out, err = run(capsys, "check", p)
+    assert "Traceback" not in err
+    expected = "['qcalc', 'qcalc-bullet', 'qcalc-quotient', 'qneut', 'qpart', 'qphys', 'qphys-unital']"
+    assert (code, out) == (2, "")
+    assert err == f"check member mu in nope: unknown theory 'nope'; expected one of {expected}\n"

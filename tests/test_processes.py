@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -356,6 +357,16 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match="non-finite"):
             ProcessTensor(Q(2), Q(2), choi)
 
+    def test_constructor_honours_callers_tolerances_without_storing_them(self):
+        choi = np.diag([1.0, -1e-10]).astype(complex)  # a rounding-sized negative eigenvalue
+        lenient = ProcessTensor(TRIVIAL, Q(2), choi)
+        with pytest.raises(ValueError, match="not PSD"):
+            ProcessTensor(TRIVIAL, Q(2), choi, Tolerances(psd_rel=1e-12))
+        strict_ok = ProcessTensor(TRIVIAL, Q(2), np.eye(2), Tolerances(psd_rel=1e-12))
+        for f in (lenient, strict_ok, ProcessTensor._trusted(TRIVIAL, Q(2), np.eye(2, dtype=complex))):
+            assert sorted(vars(f)) == ["choi", "input", "output"]
+        assert [f.name for f in dataclasses.fields(ProcessTensor)] == ["input", "output", "choi"]
+
     def test_trusted_checks_shape_and_freezes(self):
         with pytest.raises(ProcessTypeError, match="choi must be 4x4"):
             ProcessTensor._trusted(Q(2), Q(2), np.eye(2))
@@ -368,7 +379,7 @@ class TestTrustBoundary:
         g = P.random_cptp(rng, Q(3), Q(2))
         calls = []
         real = ProcessTensor.__post_init__
-        monkeypatch.setattr(ProcessTensor, "__post_init__", lambda self: calls.append(self) or real(self))
+        monkeypatch.setattr(ProcessTensor, "__post_init__", lambda self, tol: calls.append(self) or real(self, tol))
         comps = [compose_seq(g, f), compose_par(f, g), dagger_h(f)]
         assert calls == []
         for c in comps:  # and each would pass validation
@@ -384,6 +395,17 @@ class TestScalarTolerance:
             P.Scalar(-5.0)
         with pytest.raises(ValueError, match="nonnegative"):
             P.Scalar(float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinities_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            P.Scalar(bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            P.Scalar(bad, Tolerances(zero_abs=1e-2))
+
+    def test_tolerance_is_used_not_stored(self):
+        assert "tol" not in vars(P.Scalar(-1e-3, Tolerances(zero_abs=1e-2)))
+        assert "tol" not in [f.name for f in dataclasses.fields(P.Scalar)]
 
     def test_as_scalar_honours_callers_tolerances(self):
         # a closed value with a sign error, as a faulty trusted composite would carry

@@ -79,9 +79,9 @@ def test_trusted_outputs_pass_full_validation(monkeypatch, capsys):
     trusted = outcomes()
     rerouted = []
 
-    def validating(cls, s_in, s_out, choi, tol):
+    def validating(cls, s_in, s_out, choi):
         rerouted.append(s_in)
-        return cls(s_in, s_out, choi, tol)
+        return cls(s_in, s_out, choi)
 
     monkeypatch.setattr(ProcessTensor, "_trusted", classmethod(validating))
     assert outcomes() == trusted

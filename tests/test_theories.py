@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proctheory import groups as G
 from proctheory import processes as P
 from proctheory import theories as T
 from proctheory.processes import (
@@ -21,13 +22,18 @@ from proctheory.processes import (
     noise_state,
     state,
 )
-from proctheory.systems import C, Q, TRIVIAL
+from proctheory.systems import C, DOWN, Q, TRIVIAL
 
 
 def amplitude_damping(gamma):
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     return channel_from_kraus([k0, k1], Q(2), Q(2))
+
+
+def bend_identity():
+    """The identity with its output bent backwards: a signalling map Q(2) -> Q(2, DOWN)."""
+    return ProcessTensor(Q(2), Q(2, DOWN), np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]))
 
 
 def halved_basis_measurement():
@@ -52,6 +58,37 @@ class TestMembership:
         assert not v.ok and "causal" in v.reasons
         assert T.membership(T.QCALC, nu).ok
         assert not T.membership(T.QCALC_BULLET, nu).ok  # N = 2
+
+    # each theory's laws beyond complete positivity, in the order membership reports them
+    LAWS = {
+        "qphys": ["causal"],
+        "qphys-unital": ["causal", "unital"],
+        "qcalc": [],
+        "qcalc-bullet": ["representative"],
+        "qcalc-quotient": [],
+        "qneut": ["strictly-positive"],
+    }
+
+    def test_laws_table_covers_every_theory(self):
+        assert sorted(T.THEORIES) == sorted(self.LAWS)
+
+    @pytest.mark.parametrize("name, laws", LAWS.items())
+    def test_checks_are_cp_then_the_laws_in_order(self, name, laws):
+        for f in (noise_state(Q(2)), max_mixed(Q(2)), amplitude_damping(0.5)):
+            verdict = T.membership(T.theory_by_name(name), f)
+            assert list(verdict.checks) == ["cp", *laws]
+            assert verdict.reasons == [k for k, ok in verdict.checks.items() if not ok]
+            assert verdict.n_value == pytest.approx(T.normalization_scalar(f).value)
+
+    def test_qpart_membership_is_a_membership_verdict(self):
+        member = compose_par(discard(Q(2)), noise_state(Q(2, DOWN)))
+        verdict = G.qpart_membership(member)
+        assert isinstance(verdict, T.MembershipVerdict)
+        assert isinstance(verdict.ns, G.NoSignallingVerdict) and verdict.ns.ok
+        assert (verdict.ok, verdict.theory, verdict.n_value) == (True, "qpart", None)
+        assert str(verdict) == "member of qpart"
+        signalling = G.qpart_membership(bend_identity())
+        assert not signalling.ns.ok and str(signalling).startswith("not a member of qpart: failed ")
 
     def test_qneut_wants_full_support(self):
         assert not T.membership(T.QNEUT, state(np.diag([1.0, 0.0]), Q(2))).ok
