@@ -469,16 +469,16 @@ def _build_box(decl: BoxDecl, path, tol):
     if g == "discard":
         if not s_out.is_trivial():
             raise err("discard takes no output system")
-        return discard_gen(s_in, tol)
+        return discard_gen(s_in)
     if g in ("maxmix", "noise"):
         if not s_in.is_trivial():
             raise err(f"{g} takes no input system")
         make = max_mixed if g == "maxmix" else noise_state
-        return make(s_out, tol)
+        return make(s_out)
     if g == "id":
         if not s_in.same_carrier(s_out):
             raise err(f"id requires matching input and output, got {s_in} -> {s_out}")
-        return id_gen(s_in, tol)
+        return id_gen(s_in)
     if g == "cup" or g == "cap":
         s = s_out if g == "cup" else s_in
         other = s_in if g == "cup" else s_out
@@ -491,7 +491,7 @@ def _build_box(decl: BoxDecl, path, tol):
         second = SystemType(s.factors[m // 2 :])
         if not half.same_carrier(second):
             raise err(f"{g} halves do not match: {half} vs {second}")
-        base = cup_gen(half, tol) if g == "cup" else cap_gen(half, tol)
+        base = cup_gen(half) if g == "cup" else cap_gen(half)
         return ProcessTensor._trusted(s_in, s_out, base.choi)
     if g == "swap":
         m = len(s_in.factors)
@@ -504,8 +504,7 @@ def _build_box(decl: BoxDecl, path, tol):
             raise err(f"swap output {s_out} is not a rotation of input {s_in}")
         k = splits[0]
         a, b = SystemType(s_in.factors[:k]), SystemType(s_in.factors[k:])
-        base = swap_gen(a, b, tol)
-        return ProcessTensor._trusted(s_in, s_out, base.choi)
+        return ProcessTensor._trusted(s_in, s_out, swap_gen(a, b).choi)
     raise err(f"unknown generator {g!r}")
 
 

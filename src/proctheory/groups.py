@@ -26,7 +26,7 @@ from .numerics import (
     DEFAULT_TOL, Tolerances, as_matrix, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
 )
 from .processes import ProcessTensor, is_causal, preserves_identity
-from .systems import CLASSICAL, DOWN, QUANTUM, SystemType
+from .systems import CLASSICAL, DOWN, QUANTUM, Q, SystemType
 from .theories import MembershipVerdict
 
 __all__ = [
@@ -84,9 +84,10 @@ def validate_group(g: FiniteGroup):
     """Exhaustively check the group axioms; returns a list of violations."""
     bad = []
     n = g.order
+    if not 0 <= g.identity < n:
+        return [f"identity element {g.identity} out of range"]
     if not ((0 <= g.table) & (g.table < n)).all():
-        bad.append("table entries out of range")
-        return bad
+        return ["table entries out of range"]
     for a in range(n):
         if g.table[g.identity, a] != a or g.table[a, g.identity] != a:
             bad.append(f"identity law fails at element {a}")
@@ -139,8 +140,6 @@ def s3_standard_representation():
     Built by restricting the permutation matrices to the plane orthogonal
     to (1,1,1), so the homomorphism property is inherited exactly.
     """
-    from .systems import Q
-
     group = symmetric_group_s3()
     basis = np.array(
         [
@@ -439,12 +438,18 @@ def parse_representation(text):
     return group, mats
 
 
-def load_representation(path, system: SystemType | None = None):
-    """Load a (group, matrices) file; with ``system`` given, build the Representation."""
+def load_representation(path):
+    """Load a (group, matrices) file as a Representation on a quantum system
+    of the matrix side. A table that is not a group, or matrices that are not
+    a unitary representation of it, raise ``ValueError`` naming the first
+    violation."""
     with open(path, "r", encoding="utf-8") as fh:
         group, mats = parse_representation(fh.read())
-    if system is None:
-        from .systems import Q
-
-        system = Q(mats[0].shape[0])
-    return Representation(group, system, tuple(mats))
+    bad = validate_group(group)
+    if bad:
+        raise ValueError(f"not a group: {bad[0]}")
+    rep = Representation(group, Q(mats[0].shape[0]), tuple(mats))
+    bad = validate_representation(rep)
+    if bad:
+        raise ValueError(f"not a unitary representation: {bad[0]}")
+    return rep

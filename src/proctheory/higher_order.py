@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numerics import DEFAULT_TOL, Tolerances, contract
-from .processes import ProcessTensor, ProcessTypeError, is_causal
+from .processes import ProcessTensor, ProcessTypeError, identity, is_causal
 from .systems import SystemType
 
 __all__ = [
@@ -171,8 +171,7 @@ def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor):
     return ProcessTensor._trusted(s_in, s_out, res.reshape(side, side))
 
 
-def ordered_process_channel(past: SystemType, mid: SystemType, late: SystemType,
-                            tol: Tolerances = DEFAULT_TOL):
+def ordered_process_channel(past: SystemType, mid: SystemType, late: SystemType):
     """The swap-plugged channel of the causally ordered process matrix.
 
     Routing is by identity wires: past -> slot A input, slot A output ->
@@ -180,9 +179,7 @@ def ordered_process_channel(past: SystemType, mid: SystemType, late: SystemType,
     (past, a-out, b-out) -> (a-in, b-in, future); applying channels then
     yields their ordered composite b . a.
     """
-    from .processes import identity
-
-    return identity(past * mid * late, tol)
+    return identity(past * mid * late)
 
 
 def circuit_form_channel(g1: ProcessTensor, g2: ProcessTensor, g3: ProcessTensor):

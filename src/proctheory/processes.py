@@ -12,10 +12,10 @@ their Choi tensors. Classical wires are decohered quantum wires: every Choi
 operator is diagonal in the classical indices (a checkable invariant that
 all constructors and compositions preserve).
 
-Validity is checked where data enters, by ``ProcessTensor(...)``. Wirings
-and nonnegative rescalings of valid processes are valid (the link product
-of positive operators is positive), so they are built by the shape-only
-``ProcessTensor._trusted``.
+Validity is checked where data enters, by ``ProcessTensor(...)``. The
+constant generators (identity matrices or a decohered V V^dag), and wirings
+and nonnegative rescalings of valid processes (the link product of positive
+operators is positive), are built by the shape-only ``ProcessTensor._trusted``.
 
 Trace preservation is deliberately *not* part of the type; it is one of the
 causality-flavoured predicates at the bottom of this module, so the same
@@ -95,6 +95,17 @@ def _decohere(choi, s_in: SystemType, s_out: SystemType):
     return choi * (key[:, None] == key)
 
 
+def _kraus_choi(kraus, s_in: SystemType, s_out: SystemType):
+    """Decohered V V^dag for V = [vec(K_k^T)]_k: the Choi operator of X -> sum_k K_k X K_k^dag."""
+    din, dout = s_in.total_dim, s_out.total_dim
+    ks = [np.asarray(k, dtype=complex) for k in kraus]
+    for k in ks:
+        if k.shape != (dout, din):
+            raise ProcessTypeError(f"Kraus operator shape {k.shape}, expected {(dout, din)}")
+    v = np.array(ks).reshape(len(ks), dout, din).transpose(2, 1, 0).reshape(din * dout, len(ks))
+    return _decohere(v @ mat_dagger(v), s_in, s_out)
+
+
 def _shaped(s_in: SystemType, s_out: SystemType, choi):
     choi = np.asarray(choi, dtype=complex)
     side = s_in.total_dim * s_out.total_dim
@@ -135,9 +146,8 @@ class ProcessTensor:
 
     @classmethod
     def _trusted(cls, input, output, choi):
-        """A process built from valid processes by wiring or by a nonnegative
-        rescaling, which keeps it valid: only the shape is checked, and
-        ``choi`` (a fresh array) is frozen in place of a copy."""
+        """A process that is valid by construction: only the shape is
+        checked, and ``choi`` (a fresh array) is frozen in place of a copy."""
         choi = _shaped(input, output, choi)
         choi.setflags(write=False)
         f = object.__new__(cls)
@@ -242,45 +252,44 @@ def dagger_h(f: ProcessTensor):
 # Generators
 
 
-def discard(s: SystemType, tol: Tolerances = DEFAULT_TOL):
+def discard(s: SystemType):
     """The unique trace/marginalisation effect: apply(discard, X) = Tr X."""
-    d = s.total_dim
-    return ProcessTensor(s, TRIVIAL, np.eye(d, dtype=complex), tol)
+    return ProcessTensor._trusted(s, TRIVIAL, np.eye(s.total_dim, dtype=complex))
 
 
-def max_mixed(s: SystemType, tol: Tolerances = DEFAULT_TOL):
+def max_mixed(s: SystemType):
     """Maximally mixed state 1/dim as a process from nothing."""
     d = s.total_dim
-    return ProcessTensor(TRIVIAL, s, np.eye(d, dtype=complex) / d, tol)
+    return ProcessTensor._trusted(TRIVIAL, s, np.eye(d, dtype=complex) / d)
 
 
-def noise_state(s: SystemType, tol: Tolerances = DEFAULT_TOL):
+def noise_state(s: SystemType):
     """Supernormalised maximally mixed state 1 (trace = dim)."""
-    d = s.total_dim
-    return ProcessTensor(TRIVIAL, s, np.eye(d, dtype=complex), tol)
+    return ProcessTensor._trusted(TRIVIAL, s, np.eye(s.total_dim, dtype=complex))
 
 
-def identity(s: SystemType, tol: Tolerances = DEFAULT_TOL):
-    return channel_from_kraus([np.eye(s.total_dim)], s, s, tol)
+def identity(s: SystemType):
+    return ProcessTensor._trusted(s, s, _kraus_choi([np.eye(s.total_dim)], s, s))
 
 
-def cup(s: SystemType, tol: Tolerances = DEFAULT_TOL):
+def cup(s: SystemType):
     """Bent wire from nothing to s (x) dual(s); Bell pair on quantum factors,
     perfectly correlated distribution on classical ones."""
     d = s.total_dim
-    return channel_from_kraus([np.eye(d).reshape(d * d, 1)], TRIVIAL, s * s.dual(), tol)
+    s_out = s * s.dual()
+    return ProcessTensor._trusted(TRIVIAL, s_out, _kraus_choi([np.eye(d).reshape(d * d, 1)], TRIVIAL, s_out))
 
 
-def cap(s: SystemType, tol: Tolerances = DEFAULT_TOL):
+def cap(s: SystemType):
     """Adjoint of the cup: effect on s (x) dual(s)."""
-    return dagger_h(cup(s, tol))
+    return dagger_h(cup(s))
 
 
-def swap(a: SystemType, b: SystemType, tol: Tolerances = DEFAULT_TOL):
+def swap(a: SystemType, b: SystemType):
     """Wire crossing a (x) b -> b (x) a."""
     da, db = a.total_dim, b.total_dim
     u = np.eye(da * db).reshape(da, db, -1).transpose(1, 0, 2).reshape(da * db, -1)
-    return channel_from_kraus([u], a * b, b * a, tol)
+    return ProcessTensor._trusted(a * b, b * a, _kraus_choi([u], a * b, b * a))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +307,8 @@ def effect(e, s: SystemType, tol: Tolerances = DEFAULT_TOL):
 
 
 def channel_from_kraus(kraus, s_in: SystemType, s_out: SystemType, tol: Tolerances = DEFAULT_TOL):
-    """Channel X -> sum_k K_k X K_k^dag, with Choi operator V V^dag for V = [vec(K_k^T)]_k."""
-    din, dout = s_in.total_dim, s_out.total_dim
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    for k in ks:
-        if k.shape != (dout, din):
-            raise ProcessTypeError(f"Kraus operator shape {k.shape}, expected {(dout, din)}")
-    v = np.array(ks).reshape(len(ks), dout, din).transpose(2, 1, 0).reshape(din * dout, len(ks))
-    return ProcessTensor(s_in, s_out, _decohere(v @ mat_dagger(v), s_in, s_out), tol)
+    """Channel X -> sum_k K_k X K_k^dag."""
+    return ProcessTensor(s_in, s_out, _kraus_choi(kraus, s_in, s_out), tol)
 
 
 def channel_from_unitary(u, s: SystemType, tol: Tolerances = DEFAULT_TOL):
@@ -399,30 +402,29 @@ def random_povm(rng, d, n_outcomes):
     return [inv_sqrt @ p @ inv_sqrt for p in parts]
 
 
-def random_cptp(rng, s_in: SystemType, s_out: SystemType, env_dim=None, tol: Tolerances = DEFAULT_TOL):
-    """Random CPTP map via a Stinespring isometry; classical factors decohered."""
+def random_cptp(rng, s_in: SystemType, s_out: SystemType):
+    """Random CPTP map via a Stinespring isometry, environment of dimension din."""
     din, dout = s_in.total_dim, s_out.total_dim
-    denv = env_dim if env_dim is not None else din
-    g = _ginibre(rng, dout * denv, din)
+    g = _ginibre(rng, dout * din, din)
     q, _ = np.linalg.qr(g)  # isometry: q^dag q = 1_din
-    kraus = q.reshape(dout, denv, din).transpose(1, 0, 2)
-    return channel_from_kraus(kraus, s_in, s_out, tol)
+    kraus = q.reshape(dout, din, din).transpose(1, 0, 2)
+    return channel_from_kraus(kraus, s_in, s_out)
 
 
-def random_cp(rng, s_in: SystemType, s_out: SystemType, tol: Tolerances = DEFAULT_TOL):
+def random_cp(rng, s_in: SystemType, s_out: SystemType):
     """Random completely positive map with no trace condition (Wishart Choi)."""
     din, dout = s_in.total_dim, s_out.total_dim
     g = _ginibre(rng, din * dout, din * dout)
     j = _decohere(g @ mat_dagger(g), s_in, s_out)
-    return ProcessTensor(s_in, s_out, j / (din * dout), tol)
+    return ProcessTensor(s_in, s_out, j / (din * dout))
 
 
-def random_mixture_of_unitaries(rng, s: SystemType, n_terms=3, tol: Tolerances = DEFAULT_TOL):
-    """Random unital CPTP map: convex mixture of unitary conjugations."""
+def random_mixture_of_unitaries(rng, s: SystemType):
+    """Random unital CPTP map: convex mixture of three unitary conjugations."""
     d = s.total_dim
-    weights = rng.dirichlet(np.ones(n_terms))
+    weights = rng.dirichlet(np.ones(3))
     kraus = [np.sqrt(w) * random_unitary(rng, d) for w in weights]
-    return channel_from_kraus(kraus, s, s, tol)
+    return channel_from_kraus(kraus, s, s)
 
 
 def random_stochastic(rng, n_in, n_out):
@@ -431,9 +433,9 @@ def random_stochastic(rng, n_in, n_out):
     return k / k.sum(axis=0, keepdims=True)
 
 
-def random_bistochastic(rng, n, n_terms=4):
-    """Convex mixture of permutation matrices (Birkhoff sample)."""
-    weights = rng.dirichlet(np.ones(n_terms))
+def random_bistochastic(rng, n):
+    """Convex mixture of four permutation matrices (Birkhoff sample)."""
+    weights = rng.dirichlet(np.ones(4))
     m = np.zeros((n, n))
     for w in weights:
         m += w * np.eye(n)[rng.permutation(n)]

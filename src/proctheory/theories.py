@@ -169,21 +169,21 @@ class NoiseParameter:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
 
-def noisy(f: ProcessTensor, eps, tol: Tolerances = DEFAULT_TOL):
+def noisy(f: ProcessTensor, eps):
     """Mix f with the depolariser: (1-eps) choi + eps (1 (x) 1)/dim_out.
 
     The depolariser term is the channel X -> Tr[X] 1/dim_out, so trace
     preservation survives the mixing. The result has a strictly positive
     definite Choi operator (by Weyl's inequality its least eigenvalue is at
-    least eps/dim_out, as choi is PSD), so it can never be the zero process;
-    noisy processes absorb wiring processes.
+    least eps/dim_out, as choi is PSD): it is valid by construction and never
+    the zero process. Noisy processes absorb wiring processes.
     """
     if not isinstance(eps, NoiseParameter):
         eps = NoiseParameter(float(eps))
     e = eps.epsilon
     side = f.din * f.dout
     j = (1.0 - e) * f.choi + e * np.eye(side, dtype=complex) / f.dout
-    return ProcessTensor(f.input, f.output, j, tol)
+    return ProcessTensor._trusted(f.input, f.output, j)
 
 
 def dagger_unital(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):

@@ -164,6 +164,18 @@ def test_check_bad_rep_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "check", target, "--rep-in", short, "--rep-out", short)
     assert code == 2
     assert err.strip() == f"{short}: representation file ended early"
+    # files that parse but are not a group and a unitary representation of it
+    rows = [
+        ("2 0\n0 0\n0 0\n2\n1 0 0 1\n1 0 0 1\n", "not a group: identity law fails at element 1"),
+        ("2 0\n0 1\n1 0\n2\n1 0 0 1\n1 1 0 -1\n", "not a unitary representation: element 1 does not act unitarily"),
+        ("2 7\n0 1\n1 0\n2\n1 0 0 1\n1 0 0 1\n", "not a group: identity element 7 out of range"),
+    ]
+    for k, (text, message) in enumerate(rows):
+        rep = tmp_path / f"bad{k}.grp"
+        rep.write_text(text)
+        code, out, err = run(capsys, "check", target, "--rep-in", rep, "--rep-out", rep)
+        assert (code, out, err.strip()) == (2, "", f"{rep}: {message}")
+        assert "Traceback" not in err
 
 
 def test_eval_long_chain_file(tmp_path, capsys):

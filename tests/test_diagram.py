@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from proctheory import diagram as D
 from proctheory import processes as P
+from proctheory.numerics import Tolerances
 from proctheory.systems import C, Q
 
 GOOD = Path(__file__).parent / "data" / "pd" / "good"
@@ -116,6 +117,17 @@ def test_bad_choi_literal_is_semantic_error():
     pf2 = D.parse("system q = Q(2)\nbox s : -> q = choi [1, 0, 0, -1]")
     with pytest.raises(D.SemanticError, match="invalid choi literal"):
         D.build_env(pf2)
+
+
+def test_generators_build_under_a_strict_tolerance():
+    # psd_rel=0 admits no rounding, yet the generators are exact: only the
+    # choi literal is data that the tolerance judges
+    pf = D.parse("system q = Q(3)\nbox i : q -> q = id\nbox u : -> q * dual(q) = cup\n"
+                 "box e : q * dual(q) -> = cap\nbox s : q * q -> q * q = swap")
+    env = D.build_env(pf, Tolerances(psd_rel=0))
+    assert sorted(env) == ["e", "i", "s", "u"]
+    for name, f in D.build_env(pf).items():
+        assert np.array_equal(env[name].choi, f.choi)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ class TestGroups:
         problems = G.validate_group(bad)
         assert any("associativity" in p for p in problems) or any("inverse" in p for p in problems)
 
+    @pytest.mark.parametrize("identity", [2, 7, -1])
+    def test_out_of_range_identity_is_a_violation(self, identity):
+        g = G.FiniteGroup(2, G.cyclic_group(2).table, identity)
+        assert G.validate_group(g) == [f"identity element {identity} out of range"]
+
     def test_inverses(self):
         s3 = G.symmetric_group_s3()
         for a in s3.elements():

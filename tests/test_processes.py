@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from proctheory import processes as P
+from proctheory.higher_order import ordered_process_channel
 from proctheory.numerics import Tolerances
 from proctheory.processes import (
     ProcessTensor,
@@ -34,6 +35,7 @@ from proctheory.processes import (
     swap,
 )
 from proctheory.systems import C, CLASSICAL, DOWN, Q, QUANTUM, SystemType, TRIVIAL, WireFactor
+from proctheory.theories import noisy
 
 
 def born_oracle(povm, rho):
@@ -380,7 +382,11 @@ class TestTrustBoundary:
         calls = []
         real = ProcessTensor.__post_init__
         monkeypatch.setattr(ProcessTensor, "__post_init__", lambda self, tol: calls.append(self) or real(self, tol))
-        comps = [compose_seq(g, f), compose_par(f, g), dagger_h(f)]
+        s = Q(2) * C(3)
+        comps = [compose_seq(g, f), compose_par(f, g), dagger_h(f),
+                 # constants and noisy mixtures are valid by construction too
+                 identity(s), discard(s), max_mixed(s), noise_state(s), cup(s), cap(s),
+                 swap(Q(3), C(2)), ordered_process_channel(Q(2), C(2), Q(3)), noisy(f, 0.3)]
         assert calls == []
         for c in comps:  # and each would pass validation
             ProcessTensor(c.input, c.output, c.choi)
