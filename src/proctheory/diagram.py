@@ -13,12 +13,12 @@ Files use the ``.pd`` extension and contain four kinds of statement::
 Ports name one wire factor each: ``node.in[k]``/``node.out[k]``, with the
 diagram's own boundary addressed as ``bound.in[k]``/``bound.out[k]``.
 Complex entries in ``choi`` literals are written ``a``, ``bi`` or ``a+bi``
-(imaginary parts carry an explicit coefficient, e.g. ``1i``). ``#`` starts
-a comment, which may hold any text; outside comments the language is ASCII,
-and any other character is a parse error. Tokenisation is whitespace
-insensitive; identifiers may contain interior hyphens when followed by a
-letter, so theory names such as ``qcalc-bullet`` are single tokens. A
-literal too large for a float (``1e999``) is rejected: as an integer at
+(imaginary parts carry an explicit coefficient, e.g. ``1i``). A well-formed,
+comment-free literal lexes in one pass; any other is read token by token.
+``#`` starts a comment, which may hold any text; outside comments the language
+is ASCII, and any other character is a parse error. Identifiers may contain
+interior hyphens when followed by a letter, so ``qcalc-bullet`` is one token.
+A literal too large for a float (``1e999``) is rejected: as an integer at
 parse time, and in a ``choi`` literal by the finiteness check of
 ``ProcessTensor``.
 
@@ -100,28 +100,49 @@ _PUNCT = {
 
 
 class Token(NamedTuple):
-    kind: str  # IDENT | NUMBER | IMAG | punctuation kind | EOF
+    kind: str  # IDENT | NUMBER | IMAG | CHOI | punctuation kind | EOF
     text: str
     value: object
     line: int
     col: int
 
 
-# One alternative per token class, tried in order; some alternative matches
-# at every offset, so finditer skips no text. The last group matched names the
-# token, so a trailing ``i`` makes a NUMBER an IMAG. A comment is eaten with
+# One complex entry, ``a``, ``bi`` or ``a+bi``, signed and with blanks around
+# its signs: the entry syntax of choi literals and representation files.
+_NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_BLANKS = r"[ \t\r\n]*"
+_ENTRY = rf"(?:([+-]){_BLANKS})?({_NUM})(?:(i)|{_BLANKS}([+-]){_BLANKS}({_NUM})i)?"
+ENTRY = re.compile(_ENTRY, re.ASCII)
+
+
+def entry_value(sign, number, imag, sign2, number2):
+    """The value of an ``ENTRY`` match's groups, signed zeros as ``parse_complex``
+    gives them: ``-0`` and ``-0i`` keep theirs, ``a+bi`` adds ``+0.0`` to both parts."""
+    if imag:
+        return complex(0.0, float(sign + number))
+    if sign2:
+        return complex(float(sign + number) + 0.0, 0.0 + float(sign2 + number2))
+    return complex(float(sign + number), 0.0)
+
+
+# Blanks, then one alternative per token class, tried in order; some
+# alternative matches at every offset, so finditer skips no text. The last
+# group matched names the token, so a trailing ``i`` makes a NUMBER an IMAG.
+# CHOI, a comment-free ``choi [...]`` literal with ``[`` on the line of
+# ``choi``, lexes as the IDENT ``choi`` and a CHOI token at ``[`` holding the
+# entries; any other literal is read token by token. A comment is eaten with
 # the newline (or end of text) after it, so EOF after a final comment sits at
 # its '#'. BAD catches any other character.
 _TOKEN = re.compile(
-    r"""
-      (?P<IDENT>[A-Za-z_]\w*(?:-[A-Za-z]\w*)*)    # interior hyphen only before a letter
-    | (?P<NUMBER>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)(?P<IMAG>i)?
-    | (?P<PUNCT>->|[=:*()\[\]{},.+-])
-    | (?P<SKIP>[ \t\r]+)
+    rf"""[ \t\r]*(?:
+      (?P<CHOI>choi[ \t\r]*\[{_BLANKS}(?:{_ENTRY}(?:{_BLANKS},{_BLANKS}{_ENTRY})*{_BLANKS})?\])
+    | (?P<IDENT>[A-Za-z_]\w*(?:-[A-Za-z]\w*)*)    # interior hyphen only before a letter
+    | (?P<NUMBER>{_NUM})(?P<IMAG>i)?
+    | (?P<PUNCT>->|[=:*()\[\]{{}},.+-])
     | (?P<NEWLINE>(?:\#[^\n]*)?\n)
     | (?P<EOF>(?:\#[^\n]*)?\Z)
     | (?P<BAD>.)
-    """,
+    )""",
     re.VERBOSE | re.ASCII,
 )
 
@@ -130,21 +151,32 @@ def _lex(text, path):
     toks = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
+        kind = m.lastgroup
         if kind == "IDENT":
-            toks.append(Token(kind, word, word, line, col))
-        elif kind == "NUMBER" or kind == "IMAG":
-            toks.append(Token(kind, word, float(m["NUMBER"]), line, col))
+            word = m[kind]
+            toks.append(Token(kind, word, word, line, m.start(kind) - line_start + 1))
         elif kind == "PUNCT":
-            toks.append(Token(_PUNCT[word], word, word, line, col))
+            word = m[kind]
+            toks.append(Token(_PUNCT[word], word, word, line, m.start(kind) - line_start + 1))
         elif kind == "NEWLINE":
             line, line_start = line + 1, m.end()
-        elif kind == "EOF":
-            toks.append(Token(kind, "", None, line, col))
-            break
-        elif kind == "BAD":
-            raise ParseError(path, line, col, f"unexpected character {word!r}")
+        elif kind == "NUMBER" or kind == "IMAG":  # an IMAG token spans its NUMBER
+            start = m.start("NUMBER")
+            toks.append(Token(kind, text[start:m.end()], float(m["NUMBER"]), line, start - line_start + 1))
+        elif kind == "CHOI":
+            # the CHOI token's text is the '[' it starts at, so a diagnostic there reads as before
+            at = text.index("[", m.start(kind))
+            entries = [entry_value(*g) for g in ENTRY.findall(text, at, m.end())]
+            toks += [Token("IDENT", "choi", "choi", line, m.start(kind) - line_start + 1),
+                     Token(kind, "[", entries, line, at - line_start + 1)]
+            line += text.count("\n", at, m.end())
+            line_start = text.rfind("\n", 0, m.end()) + 1
+        else:
+            col = m.start(kind) - line_start + 1
+            if kind == "EOF":
+                toks.append(Token(kind, "", None, line, col))
+                break
+            raise ParseError(path, line, col, f"unexpected character {m[kind]!r}")
     return toks
 
 
@@ -343,14 +375,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.value == "choi":
             self.advance()
-            self.expect("LBRACK", "'['")
-            entries = []
-            if self.peek().kind != "RBRACK":
-                entries.append(self.parse_complex())
-                while self.peek().kind == "COMMA":
-                    self.advance()
+            if self.peek().kind == "CHOI":
+                entries = self.advance().value
+            else:  # a literal CHOI rejects, read token by token so diagnostics keep their place
+                self.expect("LBRACK", "'['")
+                entries = []
+                if self.peek().kind != "RBRACK":
                     entries.append(self.parse_complex())
-            self.expect("RBRACK", "']'")
+                    while self.peek().kind == "COMMA":
+                        self.advance()
+                        entries.append(self.parse_complex())
+                self.expect("RBRACK", "']'")
             decl = BoxDecl(name, s_in, s_out, None, entries, name_tok.line, name_tok.col)
         elif tok.kind == "IDENT" and tok.value in GENERATORS:
             self.advance()

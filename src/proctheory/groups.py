@@ -17,11 +17,13 @@ no-signalling in both directions.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
+from .diagram import ENTRY, entry_value
 from .numerics import (
     DEFAULT_TOL, Tolerances, as_matrix, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
 )
@@ -408,9 +410,20 @@ def qpart_membership(
 # ---------------------------------------------------------------------------
 # Plain-text group/representation files
 
+def _matrix_entry(tok):
+    """One entry in the ``.pd`` entry syntax (``a``, ``bi`` or ``a+bi``), finite."""
+    m = ENTRY.fullmatch(tok)
+    if m is None:
+        raise ValueError(f"bad matrix entry {tok!r}")
+    value = entry_value(*m.groups(""))
+    if not cmath.isfinite(value):
+        raise ValueError(f"matrix entry {tok} is not finite")
+    return value
+
+
 def parse_representation(text):
     """Parse the table format: order and identity, Cayley rows, matrix side,
-    then per-element row-major complex entries (``a+bi`` tokens)."""
+    then per-element row-major complex entries in the ``.pd`` entry syntax."""
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
@@ -426,12 +439,16 @@ def parse_representation(text):
         return out
 
     order, identity = (int(x) for x in take(2))
+    if order < 1:
+        raise ValueError(f"group order must be >= 1, got {order}")
     table = np.array([[int(x) for x in take(order)] for _ in range(order)])
     group = FiniteGroup(order, table, identity)
     side = int(take(1)[0])
+    if side < 1:
+        raise ValueError(f"matrix side must be >= 1, got {side}")
     mats = []
     for _ in range(order):
-        entries = [complex(tok.replace("i", "j")) for tok in take(side * side)]
+        entries = [_matrix_entry(tok) for tok in take(side * side)]
         mats.append(as_matrix(entries, side, side))
     if pos != len(tokens):
         raise ValueError(f"{len(tokens) - pos} unexpected trailing tokens in representation file")

@@ -169,6 +169,14 @@ def test_check_bad_rep_file_exit_2(tmp_path, capsys):
         ("2 0\n0 0\n0 0\n2\n1 0 0 1\n1 0 0 1\n", "not a group: identity law fails at element 1"),
         ("2 0\n0 1\n1 0\n2\n1 0 0 1\n1 1 0 -1\n", "not a unitary representation: element 1 does not act unitarily"),
         ("2 7\n0 1\n1 0\n2\n1 0 0 1\n1 0 0 1\n", "not a group: identity element 7 out of range"),
+        # entries outside the .pd entry syntax, values that are not finite, sizes below 1
+        ("1 0\n0\n1\nnan\n", "bad matrix entry 'nan'"),
+        ("1 0\n0\n1\nnanj\n", "bad matrix entry 'nanj'"),
+        ("1 0\n0\n1\n(1+0j)\n", "bad matrix entry '(1+0j)'"),
+        ("1 0\n0\n1\n1_0\n", "bad matrix entry '1_0'"),
+        ("1 0\n0\n1\n1e999\n", "matrix entry 1e999 is not finite"),
+        ("0 0\n1\n1\n", "group order must be >= 1, got 0"),
+        ("1 0\n0\n-1\n", "matrix side must be >= 1, got -1"),
     ]
     for k, (text, message) in enumerate(rows):
         rep = tmp_path / f"bad{k}.grp"

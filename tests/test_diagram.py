@@ -588,21 +588,93 @@ def reference_lex(text, path):
     return toks
 
 
-def lex_outcome(lex, text):
-    """Token tuples, or the ParseError diagnostic text."""
+def entry_bits(entries):
+    """Complex entries by the bits of their parts, so -0.0 differs from 0.0."""
+    return [(z.real.hex(), z.imag.hex()) for z in entries]
+
+
+BOX_PREFIX = reference_lex("box b : -> = choi", "f.pd")[:-1]
+
+
+def literal_run(toks, k):
+    """The entries of the '[' ... ']' run at ``toks[k]``, read by the parser's
+    token-by-token path, and the index after the run; None if it does not parse."""
+    end = next((j for j in range(k, len(toks)) if toks[j].kind == "RBRACK"), None)
+    if end is None:
+        return None, k
+    eof = D.Token("EOF", "", None, 0, 0)
     try:
-        return [tuple(tok) for tok in lex(text, "f.pd")]
+        pf = D._Parser(BOX_PREFIX + list(toks[k : end + 1]) + [eof], "f.pd").parse_file()
+    except D.ParseError:
+        return None, k
+    return pf.boxes["b"].choi_entries, end + 1
+
+
+def lex_outcome(lex, text):
+    """Token tuples, or the ParseError diagnostic text. A CHOI token, and a
+    '[' ... ']' run after ``choi`` that parses, both become one
+    ('CHOI', '[', entry bits, line, col) tuple: a one-pass literal is compared
+    with the run of reference tokens it replaces."""
+    try:
+        toks = lex(text, "f.pd")
     except D.ParseError as exc:
         return str(exc)
+    out, k = [], 0
+    while k < len(toks):
+        tok, entries, end = toks[k], None, k + 1
+        if tok.kind == "CHOI":
+            entries = tok.value
+        elif tok.kind == "LBRACK" and k and toks[k - 1][:2] == ("IDENT", "choi"):
+            entries, end = literal_run(toks, k)
+        if entries is None:
+            out.append(tuple(tok))
+            k += 1
+        else:
+            out.append(("CHOI", "[", entry_bits(entries), tok.line, tok.col))
+            k = end
+    return out
 
 
-def test_lexer_matches_reference_on_corpus_and_builders():
+def reference_parse(text):
+    """The parser as it was before CHOI tokens: reference_lex emits none, so
+    every literal is read token by token."""
+    return D._Parser(reference_lex(text, "f.pd"), "f.pd").parse_file()
+
+
+def parse_outcome(parse, text):
+    """Every declaration with its line/col, literal entries by bits, or the
+    ParseError diagnostic text."""
+    try:
+        pf = parse(text)
+    except D.ParseError as exc:
+        return str(exc)
+    boxes = [(name, b.s_in, b.s_out, b.generator,
+              None if b.choi_entries is None else entry_bits(b.choi_entries), b.line, b.col)
+             for name, b in pf.boxes.items()]
+    diagrams = [(name, d, list(d.nodes)) for name, d in pf.diagrams.items()]
+    return list(pf.systems.items()), boxes, diagrams, pf.checks
+
+
+def parse_new(text):
+    return D.parse(text, "f.pd")
+
+
+def corpus_and_builder_texts():
     texts = [path.read_text() for path in sorted(GOOD.glob("*.pd")) + sorted(BAD.glob("*.pd"))]
     texts += [chain_source(n, cycle) for n in (1, 2, 40) for cycle in (False, True)]
     texts += [ladder_source(n) for n in (1, 30)] + [pairs_source(n) for n in (1, 30)]
     texts += [brick_source(layers, width) for layers, width in ((1, 2), (6, 4), (9, 7))]
-    for text in texts:
+    return texts
+
+
+def test_lexer_matches_reference_on_corpus_and_builders():
+    for text in corpus_and_builder_texts():
         assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text), text[:60]
+
+
+def test_parser_matches_reference_on_corpus_and_builders():
+    for text in corpus_and_builder_texts():
+        assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text), text[:60]
 
 
 # Fragments that single characters rarely assemble: arrows, exponents, IMAG forms,
@@ -620,6 +692,60 @@ ascii_text = st.lists(
 @settings(max_examples=500, deadline=None, derandomize=True)
 def test_lexer_matches_reference_on_ascii_text(text):
     assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text)
+
+
+@given(ascii_text)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_parser_matches_reference_on_ascii_text(text):
+    assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
+
+
+# Literal bodies: signed zeros, exponents, blanks and newlines around signs,
+# comments, malformed entries; then closings that are missing, doubled or
+# trailing a comma; in a box and in places no literal may stand.
+CHOI_OPENINGS = ["choi [", "choi[", "choi \t[", "choi\n[", "choi # c\n[", "choi-x [", "choi_x ["]
+CHOI_ENTRIES = ["-0", "-0i", "-0+0i", "0-0i", "-0-0i", "+0", "1.e5", "2.5e+2i", "- 1", "1 +\n2i",
+                "3 - 4.5E-1i", "0.5", " 7 ", "\n1", "1, # c\n2", "# 3, 4i\n5", "1+2", "1e", "1ix",
+                "+ -2i", "1 2", "1i+2", "", "1e999", "1..2"]
+CHOI_CLOSINGS = ["]", " ]", "\n]", ",]", "", "] ]", "[]"]
+CHOI_PLACES = ["box b : q -> = ", "box b : -> = ", "system choi = Q(1)\nsystem r = ", "", "check causal ",
+               "diagram D { node n: ", "diagram D { wire n.", "box b : -> = choi [1]\nbox c : -> = "]
+choi_text = st.tuples(
+    st.sampled_from(CHOI_PLACES), st.sampled_from(CHOI_OPENINGS),
+    st.lists(st.sampled_from(CHOI_ENTRIES), max_size=6), st.sampled_from([",", ", ", " ,\n", "\n,"]),
+    st.sampled_from(CHOI_CLOSINGS),
+    st.sampled_from(["", "\n", " x", "\n  bogus", "\ncheck causal b in qphys"]),
+).map(lambda t: "system q = Q(1)\n" + t[0] + t[1] + t[3].join(t[2]) + t[4] + t[5])
+
+
+@given(choi_text)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_one_pass_literals_match_reference_on_choi_bodies(text):
+    assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text)
+    assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
+
+
+def test_well_formed_literal_is_one_choi_token_with_signed_zeros_kept():
+    toks = D._lex("box b : -> = choi [-0, -0i, -0+0i, 0-0i, - 1,\n 1 +\n2i, 2.5e+2i]  x", "f.pd")
+    ident, choi, x = toks[-4:-1]
+    assert (tuple(ident), choi[:2], choi[3:]) == (("IDENT", "choi", "choi", 1, 14), ("CHOI", "["), (1, 19))
+    assert entry_bits(choi.value) == entry_bits([complex(-0.0, 0.0), complex(0.0, -0.0), 0j, 0j, -1 + 0j,
+                                                 1 + 2j, 250j])
+    assert (x.kind, x.line, x.col) == ("IDENT", 3, 15)
+
+
+def test_diagnostic_after_a_multiline_literal_keeps_its_place():
+    text = "box b : -> = choi [1,\n  0,\n  0]\n  bogus\n"
+    with pytest.raises(D.ParseError) as exc:
+        parse_new(text)
+    assert str(exc.value) == "f.pd:4:3: parse: expected system/box/diagram/check, got 'bogus'"
+    assert parse_outcome(reference_parse, text) == str(exc.value)
+
+
+def test_long_literal_missing_its_bracket_keeps_the_diagnostic():
+    text = "box b : -> = choi [" + ", ".join(["1"] * 100_000) + "\ncheck causal b in qphys\n"
+    assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
+    assert parse_outcome(parse_new, text) == "f.pd:2:1: parse: expected ']', got 'check'"
 
 
 PD_FRAGMENTS = ["system q = ", "Q(2)", "C(3)", "Q(", "dual(", ")", " * ", "box b : ", " -> ", " = ",
