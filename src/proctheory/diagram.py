@@ -15,6 +15,9 @@ diagram's own boundary addressed as ``bound.in[k]``/``bound.out[k]``.
 Complex entries in ``choi`` literals are written ``a``, ``bi`` or ``a+bi``
 (imaginary parts carry an explicit coefficient, e.g. ``1i``). A well-formed,
 comment-free literal lexes in one pass; any other is read token by token.
+So does a one-line, comment-free ``node X : Y`` or ``wire X.side[k] ->
+Y.side[k]`` with sides ``in``/``out`` and indices of 1 to 15 digits; a parse
+that stops at one is run again token by token, so its diagnostic is the same.
 ``#`` starts a comment, which may hold any text; outside comments the language
 is ASCII, and any other character is a parse error. Identifiers may contain
 interior hyphens when followed by a letter, so ``qcalc-bullet`` is one token.
@@ -38,7 +41,6 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,12 +101,10 @@ _PUNCT = {
 }
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT | NUMBER | IMAG | CHOI | punctuation kind | EOF
-    text: str
-    value: object
-    line: int
-    col: int
+# A token is a plain tuple (kind, text, value, line, col), read by these
+# indices: it costs a seventh of a NamedTuple to build. Its kind is IDENT,
+# NUMBER, IMAG, CHOI, NODE, WIRE, a punctuation kind, or EOF.
+KIND, TEXT, VALUE, LINE, COL = range(5)
 
 
 # One complex entry, ``a``, ``bi`` or ``a+bi``, signed and with blanks around
@@ -130,51 +130,82 @@ def entry_value(sign, number, imag, sign2, number2):
 # group matched names the token, so a trailing ``i`` makes a NUMBER an IMAG.
 # CHOI, a comment-free ``choi [...]`` literal with ``[`` on the line of
 # ``choi``, lexes as the IDENT ``choi`` and a CHOI token at ``[`` holding the
-# entries; any other literal is read token by token. A comment is eaten with
-# the newline (or end of text) after it, so EOF after a final comment sits at
-# its '#'. BAD catches any other character.
-_TOKEN = re.compile(
-    rf"""[ \t\r]*(?:
-      (?P<CHOI>choi[ \t\r]*\[{_BLANKS}(?:{_ENTRY}(?:{_BLANKS},{_BLANKS}{_ENTRY})*{_BLANKS})?\])
-    | (?P<IDENT>[A-Za-z_]\w*(?:-[A-Za-z]\w*)*)    # interior hyphen only before a letter
-    | (?P<NUMBER>{_NUM})(?P<IMAG>i)?
-    | (?P<PUNCT>->|[=:*()\[\]{{}},.+-])
-    | (?P<NEWLINE>(?:\#[^\n]*)?\n)
-    | (?P<EOF>(?:\#[^\n]*)?\Z)
-    | (?P<BAD>.)
-    )""",
-    re.VERBOSE | re.ASCII,
-)
+# entries; any other literal is read token by token. NODE and WIRE, a
+# one-line ``node X : Y`` or ``wire X.side[k] -> Y.side[k]``, lex as the
+# keyword's IDENT and one token at ``X`` (text ``X``) whose value is the box
+# name or the two ``Port``s; each takes the newline that ends its line. Any
+# other form is read token by token. A comment is eaten with the newline (or
+# end of text) after it, so EOF after a final comment sits at its '#'. BAD
+# catches any other character.
+_NAME = r"[A-Za-z_]\w*(?:-[A-Za-z]\w*)*"  # interior hyphen only before a letter
+_SP = r"[ \t\r]*"
 
 
-def _lex(text, path):
+def _port(p):
+    return rf"(?P<{p}>{_NAME}){_SP}\.{_SP}(?P<{p}_side>in|out){_SP}\[{_SP}(?P<{p}_index>\d{{1,15}}){_SP}\]"
+
+
+def _token_pattern(statements):
+    return re.compile(
+        rf"""{_SP}(?:
+          (?P<CHOI>choi{_SP}\[{_BLANKS}(?:{_ENTRY}(?:{_BLANKS},{_BLANKS}{_ENTRY})*{_BLANKS})?\])
+        {statements}
+        | (?P<IDENT>{_NAME})
+        | (?P<NUMBER>{_NUM})(?P<IMAG>i)?
+        | (?P<PUNCT>->|[=:*()\[\]{{}},.+-])
+        | (?P<NEWLINE>(?:\#[^\n]*)?\n)
+        | (?P<EOF>(?:\#[^\n]*)?\Z)
+        | (?P<BAD>.)
+        )""",
+        re.VERBOSE | re.ASCII,
+    )
+
+
+_TOKEN = _token_pattern(rf"""
+        | (?P<NODE>node[ \t\r]+(?P<node>{_NAME}){_SP}:{_SP}(?P<box>{_NAME})(?:{_SP}\n)?)
+        | (?P<WIRE>wire[ \t\r]+{_port("a")}{_SP}->{_SP}{_port("b")}(?:{_SP}\n)?)""")
+
+
+def _lex(text, path, pattern=_TOKEN):
     toks = []
     line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
+    for m in pattern.finditer(text):
         kind = m.lastgroup
         if kind == "IDENT":
             word = m[kind]
-            toks.append(Token(kind, word, word, line, m.start(kind) - line_start + 1))
+            toks.append((kind, word, word, line, m.start(kind) - line_start + 1))
         elif kind == "PUNCT":
             word = m[kind]
-            toks.append(Token(_PUNCT[word], word, word, line, m.start(kind) - line_start + 1))
+            toks.append((_PUNCT[word], word, word, line, m.start(kind) - line_start + 1))
         elif kind == "NEWLINE":
             line, line_start = line + 1, m.end()
+        elif kind == "NODE":
+            toks += [("IDENT", "node", "node", line, m.start(kind) - line_start + 1),
+                     (kind, m["node"], m["box"], line, m.start("node") - line_start + 1)]
+            if text[m.end() - 1] == "\n":
+                line, line_start = line + 1, m.end()
+        elif kind == "WIRE":
+            a, a_side, a_index, b, b_side, b_index = m.group("a", "a_side", "a_index", "b", "b_side", "b_index")
+            toks += [("IDENT", "wire", "wire", line, m.start(kind) - line_start + 1),
+                     (kind, a, (Port(a, a_side, int(a_index)), Port(b, b_side, int(b_index))),
+                           line, m.start("a") - line_start + 1)]
+            if text[m.end() - 1] == "\n":
+                line, line_start = line + 1, m.end()
         elif kind == "NUMBER" or kind == "IMAG":  # an IMAG token spans its NUMBER
             start = m.start("NUMBER")
-            toks.append(Token(kind, text[start:m.end()], float(m["NUMBER"]), line, start - line_start + 1))
+            toks.append((kind, text[start:m.end()], float(m["NUMBER"]), line, start - line_start + 1))
         elif kind == "CHOI":
             # the CHOI token's text is the '[' it starts at, so a diagnostic there reads as before
             at = text.index("[", m.start(kind))
             entries = [entry_value(*g) for g in ENTRY.findall(text, at, m.end())]
-            toks += [Token("IDENT", "choi", "choi", line, m.start(kind) - line_start + 1),
-                     Token(kind, "[", entries, line, at - line_start + 1)]
+            toks += [("IDENT", "choi", "choi", line, m.start(kind) - line_start + 1),
+                     (kind, "[", entries, line, at - line_start + 1)]
             line += text.count("\n", at, m.end())
             line_start = text.rfind("\n", 0, m.end()) + 1
         else:
             col = m.start(kind) - line_start + 1
             if kind == "EOF":
-                toks.append(Token(kind, "", None, line, col))
+                toks.append((kind, "", None, line, col))
                 break
             raise ParseError(path, line, col, f"unexpected character {m[kind]!r}")
     return toks
@@ -273,33 +304,35 @@ class _Parser:
 
     def advance(self):
         tok = self.toks[self.pos]
-        if tok.kind != "EOF":
+        if tok[KIND] != "EOF":
             self.pos += 1
         return tok
 
     def error(self, tok, message):
-        raise ParseError(self.path, tok.line, tok.col, message)
+        if tok[KIND] == "NODE" or tok[KIND] == "WIRE":
+            raise _Reread(self.path, tok[LINE], tok[COL], message)
+        raise ParseError(self.path, tok[LINE], tok[COL], message)
 
     def expect(self, kind, what=None):
         tok = self.peek()
-        if tok.kind != kind:
-            self.error(tok, f"expected {what or kind}, got {tok.text!r}")
+        if tok[KIND] != kind:
+            self.error(tok, f"expected {what or kind}, got {tok[TEXT]!r}")
         return self.advance()
 
     def expect_word(self, word):
         tok = self.peek()
-        if tok.kind != "IDENT" or tok.value != word:
-            self.error(tok, f"expected {word!r}, got {tok.text!r}")
+        if tok[KIND] != "IDENT" or tok[VALUE] != word:
+            self.error(tok, f"expected {word!r}, got {tok[TEXT]!r}")
         return self.advance()
 
     def expect_int(self, what):
         tok = self.expect("NUMBER", what)
-        if not tok.value.is_integer():
-            self.error(tok, f"expected integer {what}, got {tok.text}")
-        return int(tok.value)
+        if not tok[VALUE].is_integer():
+            self.error(tok, f"expected integer {what}, got {tok[TEXT]}")
+        return int(tok[VALUE])
 
     def declare(self, name_tok, kind):
-        name = name_tok.value
+        name = name_tok[VALUE]
         if name == "bound":
             self.error(name_tok, "'bound' is reserved for boundary ports")
         if name in self.names:
@@ -311,20 +344,20 @@ class _Parser:
 
     def parse_file(self):
         out = ParsedFile(self.path)
-        while self.peek().kind != "EOF":
+        while self.peek()[KIND] != "EOF":
             tok = self.peek()
-            if tok.kind != "IDENT":
-                self.error(tok, f"expected a statement, got {tok.text!r}")
-            if tok.value == "system":
+            if tok[KIND] != "IDENT":
+                self.error(tok, f"expected a statement, got {tok[TEXT]!r}")
+            if tok[VALUE] == "system":
                 self.parse_system(out)
-            elif tok.value == "box":
+            elif tok[VALUE] == "box":
                 self.parse_box(out)
-            elif tok.value == "diagram":
+            elif tok[VALUE] == "diagram":
                 self.parse_diagram(out)
-            elif tok.value == "check":
+            elif tok[VALUE] == "check":
                 self.parse_check(out)
             else:
-                self.error(tok, f"expected system/box/diagram/check, got {tok.text!r}")
+                self.error(tok, f"expected system/box/diagram/check, got {tok[TEXT]!r}")
         return out
 
     def parse_system(self, out):
@@ -336,7 +369,7 @@ class _Parser:
 
     def parse_sysexpr(self, out):
         factors = list(self.parse_factor(out))
-        while self.peek().kind == "STAR":
+        while self.peek()[KIND] == "STAR":
             self.advance()
             factors.extend(self.parse_factor(out))
         return SystemType(tuple(factors))
@@ -344,21 +377,21 @@ class _Parser:
     def parse_factor(self, out):
         tok = self.expect("IDENT", "wire factor")
         duals = 0  # nested dual(...) is counted, not recursed into, so no depth overflows
-        while tok.value == "dual":
+        while tok[VALUE] == "dual":
             self.expect("LPAREN", "'('")
             duals += 1
             tok = self.expect("IDENT", "wire factor")
-        if tok.value in ("Q", "C"):
+        if tok[VALUE] in ("Q", "C"):
             self.expect("LPAREN", "'('")
             dim = self.expect_int("dimension")
             if dim < 1:
                 self.error(tok, f"wire dimension must be >= 1, got {dim}")
             self.expect("RPAREN", "')'")
-            factors = (WireFactor(QUANTUM if tok.value == "Q" else CLASSICAL, dim, UP),)
-        elif tok.value in out.systems:
-            factors = out.systems[tok.value].factors
+            factors = (WireFactor(QUANTUM if tok[VALUE] == "Q" else CLASSICAL, dim, UP),)
+        elif tok[VALUE] in out.systems:
+            factors = out.systems[tok[VALUE]].factors
         else:
-            self.error(tok, f"undefined system reference {tok.value!r}")
+            self.error(tok, f"undefined system reference {tok[VALUE]!r}")
         for _ in range(duals):
             self.expect("RPAREN", "')'")
         return factors if duals % 2 == 0 else tuple(f.dual() for f in factors)
@@ -368,60 +401,97 @@ class _Parser:
         name_tok = self.expect("IDENT", "box name")
         name = self.declare(name_tok, "box")
         self.expect("COLON", "':'")
-        s_in = TRIVIAL if self.peek().kind == "ARROW" else self.parse_sysexpr(out)
+        s_in = TRIVIAL if self.peek()[KIND] == "ARROW" else self.parse_sysexpr(out)
         self.expect("ARROW", "'->'")
-        s_out = TRIVIAL if self.peek().kind == "EQUALS" else self.parse_sysexpr(out)
+        s_out = TRIVIAL if self.peek()[KIND] == "EQUALS" else self.parse_sysexpr(out)
         self.expect("EQUALS", "'='")
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "choi":
+        if tok[KIND] == "IDENT" and tok[VALUE] == "choi":
             self.advance()
-            if self.peek().kind == "CHOI":
-                entries = self.advance().value
+            if self.peek()[KIND] == "CHOI":
+                entries = self.advance()[VALUE]
             else:  # a literal CHOI rejects, read token by token so diagnostics keep their place
                 self.expect("LBRACK", "'['")
                 entries = []
-                if self.peek().kind != "RBRACK":
+                if self.peek()[KIND] != "RBRACK":
                     entries.append(self.parse_complex())
-                    while self.peek().kind == "COMMA":
+                    while self.peek()[KIND] == "COMMA":
                         self.advance()
                         entries.append(self.parse_complex())
                 self.expect("RBRACK", "']'")
-            decl = BoxDecl(name, s_in, s_out, None, entries, name_tok.line, name_tok.col)
-        elif tok.kind == "IDENT" and tok.value in GENERATORS:
+            decl = BoxDecl(name, s_in, s_out, None, entries, name_tok[LINE], name_tok[COL])
+        elif tok[KIND] == "IDENT" and tok[VALUE] in GENERATORS:
             self.advance()
-            decl = BoxDecl(name, s_in, s_out, tok.value, None, name_tok.line, name_tok.col)
+            decl = BoxDecl(name, s_in, s_out, tok[VALUE], None, name_tok[LINE], name_tok[COL])
         else:
-            self.error(tok, f"expected a generator {GENERATORS} or 'choi', got {tok.text!r}")
+            self.error(tok, f"expected a generator {GENERATORS} or 'choi', got {tok[TEXT]!r}")
         out.boxes[name] = decl
 
     def parse_complex(self):
         sign = 1.0
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1.0 if self.advance().kind == "MINUS" else 1.0
+        if self.peek()[KIND] in ("PLUS", "MINUS"):
+            sign = -1.0 if self.advance()[KIND] == "MINUS" else 1.0
         tok = self.peek()
-        if tok.kind == "IMAG":
+        if tok[KIND] == "IMAG":
             self.advance()
-            return complex(0.0, sign * tok.value)
-        if tok.kind != "NUMBER":
-            self.error(tok, f"expected a complex entry, got {tok.text!r}")
+            return complex(0.0, sign * tok[VALUE])
+        if tok[KIND] != "NUMBER":
+            self.error(tok, f"expected a complex entry, got {tok[TEXT]!r}")
         self.advance()
-        val = complex(sign * tok.value, 0.0)
-        if self.peek().kind in ("PLUS", "MINUS"):
-            s2 = -1.0 if self.advance().kind == "MINUS" else 1.0
+        val = complex(sign * tok[VALUE], 0.0)
+        if self.peek()[KIND] in ("PLUS", "MINUS"):
+            s2 = -1.0 if self.advance()[KIND] == "MINUS" else 1.0
             itok = self.expect("IMAG", "imaginary part (e.g. 2i)")
-            val += complex(0.0, s2 * itok.value)
+            val += complex(0.0, s2 * itok[VALUE])
         return val
 
-    def parse_port(self):
+    def node_ref(self, nodes, port, tok):
+        if not port.is_boundary() and port.node not in nodes:
+            self.error(tok, f"undefined node reference {port.node!r}")
+
+    def parse_port(self, nodes):
         tok = self.expect("IDENT", "port (node.in[k] / bound.out[k])")
         self.expect("DOT", "'.'")
         side_tok = self.expect("IDENT", "'in' or 'out'")
-        if side_tok.value not in ("in", "out"):
-            self.error(side_tok, f"port side must be 'in' or 'out', got {side_tok.text!r}")
+        if side_tok[VALUE] not in ("in", "out"):
+            self.error(side_tok, f"port side must be 'in' or 'out', got {side_tok[TEXT]!r}")
         self.expect("LBRACK", "'['")
         idx = self.expect_int("port index")
         self.expect("RBRACK", "']'")
-        return Port(tok.value, side_tok.value, idx), tok
+        port = Port(tok[VALUE], side_tok[VALUE], idx)
+        self.node_ref(nodes, port, tok)
+        return port
+
+    # A NODE or WIRE token is read with the same checks as the tokens it
+    # stands for; one that fails them is reported by re-reading (see parse).
+    def parse_node(self, out, nodes, diagram):
+        self.advance()  # 'node'
+        tok = box_tok = self.advance() if self.peek()[KIND] == "NODE" else self.expect("IDENT", "node name")
+        if tok[TEXT] == "bound":
+            self.error(tok, "'bound' is reserved for boundary ports")
+        if tok[TEXT] in nodes:
+            self.error(tok, f"duplicate identifier {tok[TEXT]!r} in diagram {diagram!r}")
+        if tok[KIND] == "IDENT":  # else a NODE, whose value is its box
+            self.expect("COLON", "':'")
+            box_tok = self.expect("IDENT", "box name")
+        if box_tok[VALUE] not in out.boxes:
+            self.error(box_tok, f"undefined box reference {box_tok[VALUE]!r}")
+        decl = out.boxes[box_tok[VALUE]]
+        nodes[tok[TEXT]] = DiagramNode(tok[TEXT], box_tok[VALUE], decl.s_in, decl.s_out, tok[LINE], tok[COL])
+
+    def parse_wire(self, nodes):
+        wtok = self.advance()  # 'wire'
+        tok = self.peek()
+        if tok[KIND] == "WIRE":
+            self.advance()
+            a, b = tok[VALUE]
+            self.node_ref(nodes, a, tok)
+            self.node_ref(nodes, b, tok)
+        else:
+            a = self.parse_port(nodes)
+            self.expect("ARROW", "'->'")
+            b = self.parse_port(nodes)
+        return Wire(a, b, wtok[LINE], wtok[COL])
 
     def parse_diagram(self, out):
         kw = self.expect_word("diagram")
@@ -430,51 +500,38 @@ class _Parser:
         self.expect("LBRACE", "'{'")
         nodes = {}
         wires = []
-        while self.peek().kind == "IDENT" and self.peek().value == "node":
-            self.advance()
-            node_tok = self.expect("IDENT", "node name")
-            if node_tok.value == "bound":
-                self.error(node_tok, "'bound' is reserved for boundary ports")
-            if node_tok.value in nodes:
-                self.error(node_tok, f"duplicate identifier {node_tok.value!r} in diagram {name!r}")
-            self.expect("COLON", "':'")
-            box_tok = self.expect("IDENT", "box name")
-            if box_tok.value not in out.boxes:
-                self.error(box_tok, f"undefined box reference {box_tok.value!r}")
-            decl = out.boxes[box_tok.value]
-            nodes[node_tok.value] = DiagramNode(
-                node_tok.value, box_tok.value, decl.s_in, decl.s_out, node_tok.line, node_tok.col
-            )
-        while self.peek().kind == "IDENT" and self.peek().value == "wire":
-            wtok = self.advance()
-            a, a_tok = self.parse_port()
-            if not a.is_boundary() and a.node not in nodes:
-                self.error(a_tok, f"undefined node reference {a.node!r}")
-            self.expect("ARROW", "'->'")
-            b, b_tok = self.parse_port()
-            if not b.is_boundary() and b.node not in nodes:
-                self.error(b_tok, f"undefined node reference {b.node!r}")
-            wires.append(Wire(a, b, wtok.line, wtok.col))
+        while self.peek()[:2] == ("IDENT", "node"):
+            self.parse_node(out, nodes, name)
+        while self.peek()[:2] == ("IDENT", "wire"):
+            wires.append(self.parse_wire(nodes))
         self.expect("RBRACE", "'}'")
-        out.diagrams[name] = Diagram(name, nodes, wires, kw.line, kw.col)
+        out.diagrams[name] = Diagram(name, nodes, wires, kw[LINE], kw[COL])
 
     def parse_check(self, out):
         self.expect_word("check")
         prop_tok = self.expect("IDENT", "property name")
         target_tok = self.expect("IDENT", "diagram or box name")
-        if target_tok.value not in out.diagrams and target_tok.value not in out.boxes:
-            self.error(target_tok, f"undefined reference {target_tok.value!r}")
+        if target_tok[VALUE] not in out.diagrams and target_tok[VALUE] not in out.boxes:
+            self.error(target_tok, f"undefined reference {target_tok[VALUE]!r}")
         self.expect_word("in")
         theory_tok = self.expect("IDENT", "theory name")
         out.checks.append(
-            CheckDirective(prop_tok.value, target_tok.value, theory_tok.value,
-                           prop_tok.line, prop_tok.col)
+            CheckDirective(prop_tok[VALUE], target_tok[VALUE], theory_tok[VALUE],
+                           prop_tok[LINE], prop_tok[COL])
         )
+
+
+class _Reread(ParseError):
+    """The parser stopped at a NODE or WIRE token, so the tokens it stands for
+    must be read one by one: they may parse on, or fail with another message."""
 
 
 def parse(text, path="<string>"):
     """Parse `.pd` source text into declarations and diagrams."""
-    return _Parser(_lex(text, path), path).parse_file()
+    try:
+        return _Parser(_lex(text, path), path).parse_file()
+    except _Reread:  # without NODE and WIRE; re caches the compiled pattern
+        return _Parser(_lex(text, path, _token_pattern("")), path).parse_file()
 
 
 def parse_file(path):

@@ -18,6 +18,7 @@ no-signalling in both directions.
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass, field
 from math import prod
 
@@ -421,6 +422,19 @@ def _matrix_entry(tok):
     return value
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(tok, field):
+    """An integer field: an optional sign, then ASCII digits only, at most 18
+    of them so that every value fits numpy's default integer."""
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(f"{field} must be an integer, got {tok!r}")
+    if len(tok.lstrip("+-")) > 18:
+        raise ValueError(f"{field} {tok} is too large")
+    return int(tok)
+
+
 def parse_representation(text):
     """Parse the table format: order and identity, Cayley rows, matrix side,
     then per-element row-major complex entries in the ``.pd`` entry syntax."""
@@ -438,12 +452,13 @@ def parse_representation(text):
         pos += n
         return out
 
-    order, identity = (int(x) for x in take(2))
+    order, identity = take(2)
+    order, identity = _integer(order, "group order"), _integer(identity, "identity element")
     if order < 1:
         raise ValueError(f"group order must be >= 1, got {order}")
-    table = np.array([[int(x) for x in take(order)] for _ in range(order)])
+    table = np.array([[_integer(x, "Cayley table entry") for x in take(order)] for _ in range(order)])
     group = FiniteGroup(order, table, identity)
-    side = int(take(1)[0])
+    side = _integer(take(1)[0], "matrix side")
     if side < 1:
         raise ValueError(f"matrix side must be >= 1, got {side}")
     mats = []

@@ -177,10 +177,17 @@ def test_check_bad_rep_file_exit_2(tmp_path, capsys):
         ("1 0\n0\n1\n1e999\n", "matrix entry 1e999 is not finite"),
         ("0 0\n1\n1\n", "group order must be >= 1, got 0"),
         ("1 0\n0\n-1\n", "matrix side must be >= 1, got -1"),
+        # integer fields are an optional sign and at most 18 ASCII digits
+        ("1 0\n0\n1.5\n1\n", "matrix side must be an integer, got '1.5'"),
+        ("1 0\n0\n\u0663\n" + "1 " * 9 + "\n", "matrix side must be an integer, got '\u0663'"),
+        ("1 0_0\n0\n1\n1\n", "identity element must be an integer, got '0_0'"),
+        ("1x 0\n0\n1\n1\n", "group order must be an integer, got '1x'"),
+        ("1 0\n0.0\n1\n1\n", "Cayley table entry must be an integer, got '0.0'"),
+        ("1 0\n" + "9" * 20 + "\n1\n1\n", f"Cayley table entry {'9' * 20} is too large"),
     ]
     for k, (text, message) in enumerate(rows):
         rep = tmp_path / f"bad{k}.grp"
-        rep.write_text(text)
+        rep.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "check", target, "--rep-in", rep, "--rep-out", rep)
         assert (code, out, err.strip()) == (2, "", f"{rep}: {message}")
         assert "Traceback" not in err
@@ -284,6 +291,8 @@ def test_theory_name_is_case_insensitive(capsys):
 
 # Inputs the lexer once misread or crashed on: one diagnostic and exit 2, never a traceback.
 CHOI_INF = "box b : -> = choi [1e999]\ndiagram D { node n: b }\n"
+# one-line node and wire statements, each failing one check of the parser
+IDENTITY = "system q = Q(2)\nbox w : q -> q = id\ndiagram D {\n  node a : w\n"
 BAD_SOURCES = [
     ("parse", "system q = Q(²)\n", "1:14: parse: unexpected character '²'"),
     ("eval", "system q = Q(²)\n", "1:14: parse: unexpected character '²'"),
@@ -292,6 +301,14 @@ BAD_SOURCES = [
     ("eval", CHOI_INF, "1:5: semantic: invalid choi literal for 'b': choi operator has non-finite entries"),
     ("quotient", CHOI_INF, "1:5: semantic: invalid choi literal for 'b': choi operator has non-finite entries"),
     ("parse", b"system q = Q(2) \xff\n", "1:17: parse: unexpected character '�'"),
+    ("eval", IDENTITY + "  wire ghost.out[0] -> a.in[0]\n}\n", "5:8: parse: undefined node reference 'ghost'"),
+    ("eval", IDENTITY + "  wire a.out[0] -> ghost.in[0]\n}\n", "5:20: parse: undefined node reference 'ghost'"),
+    ("check", IDENTITY + "  node a : w\n}\n", "5:8: parse: duplicate identifier 'a' in diagram 'D'"),
+    ("eval", IDENTITY + "  node bound : w\n}\n", "5:8: parse: 'bound' is reserved for boundary ports"),
+    ("parse", IDENTITY + "  node b : ghost\n}\n", "5:12: parse: undefined box reference 'ghost'"),
+    ("eval", IDENTITY + "  wire a.out[1.5] -> a.in[0]\n}\n", "5:14: parse: expected integer port index, got 1.5"),
+    ("quotient", IDENTITY + "  wire a.out[0] -> a.in[1e999]\n}\n",
+     "5:25: parse: expected integer port index, got 1e999"),
 ]
 
 

@@ -1,4 +1,6 @@
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -513,6 +515,20 @@ def test_good_corpus_typechecks_and_evaluates():
 # Lexer
 
 
+class Token(NamedTuple):
+    """A token with named fields; ``D._lex`` builds plain tuples in this order."""
+
+    kind: str
+    text: str
+    value: object
+    line: int
+    col: int
+
+
+def lex_tokens(text):
+    return [Token(*tok) for tok in D._lex(text, "f.pd")]
+
+
 def reference_lex(text, path):
     """The character-at-a-time scanner the compiled pattern replaced, kept as an oracle."""
     toks = []
@@ -544,7 +560,7 @@ def reference_lex(text, path):
                 while j < n and (text[j].isalnum() or text[j] == "_"):
                     j += 1
             word = text[i:j]
-            toks.append(D.Token("IDENT", word, word, start_line, start_col))
+            toks.append(Token("IDENT", word, word, start_line, start_col))
             col += j - i
             i = j
             continue
@@ -569,22 +585,22 @@ def reference_lex(text, path):
             if j < n and text[j] == "i":
                 kind = "IMAG"
                 j += 1
-            toks.append(D.Token(kind, text[i:j], float(word), start_line, start_col))
+            toks.append(Token(kind, text[i:j], float(word), start_line, start_col))
             col += j - i
             i = j
             continue
         if text[i : i + 2] == "->":
-            toks.append(D.Token("ARROW", "->", "->", start_line, start_col))
+            toks.append(Token("ARROW", "->", "->", start_line, start_col))
             i += 2
             col += 2
             continue
         if ch in D._PUNCT:
-            toks.append(D.Token(D._PUNCT[ch], ch, ch, start_line, start_col))
+            toks.append(Token(D._PUNCT[ch], ch, ch, start_line, start_col))
             i += 1
             col += 1
             continue
         raise D.ParseError(path, line, col, f"unexpected character {ch!r}")
-    toks.append(D.Token("EOF", "", None, line, col))
+    toks.append(Token("EOF", "", None, line, col))
     return toks
 
 
@@ -602,7 +618,7 @@ def literal_run(toks, k):
     end = next((j for j in range(k, len(toks)) if toks[j].kind == "RBRACK"), None)
     if end is None:
         return None, k
-    eof = D.Token("EOF", "", None, 0, 0)
+    eof = Token("EOF", "", None, 0, 0)
     try:
         pf = D._Parser(BOX_PREFIX + list(toks[k : end + 1]) + [eof], "f.pd").parse_file()
     except D.ParseError:
@@ -610,27 +626,62 @@ def literal_run(toks, k):
     return pf.boxes["b"].choi_entries, end + 1
 
 
+PORT_KINDS = ("IDENT", "DOT", "IDENT", "LBRACK", "NUMBER", "RBRACK")
+STATEMENT_KINDS = {"node": ("IDENT", "COLON", "IDENT"), "wire": PORT_KINDS + ("ARROW",) + PORT_KINDS}
+
+
+def statement_run(toks, k, keyword):
+    """The NODE or WIRE tuple of the ``X : Y`` (after ``node``) or
+    ``X.side[k] -> Y.side[k]`` (after ``wire``) run of tokens at ``toks[k]``,
+    on the line of the keyword at ``toks[k - 1]``, and the index after the
+    run; None if there is no such run. An index is 1 to 15 ASCII digits,
+    valued as the parser's ``int(float(text))``."""
+    kinds = STATEMENT_KINDS[keyword]
+    run = toks[k : k + len(kinds)]
+    if tuple(t.kind for t in run) != kinds or len({t.line for t in toks[k - 1 : k + len(kinds)]}) != 1:
+        return None, k
+    if keyword == "node":
+        return ("NODE", run[0].text, run[2].text, run[0].line, run[0].col), k + len(kinds)
+    ports = [run[:6], run[7:]]
+    if any(p[2].text not in ("in", "out") or not re.fullmatch(r"[0-9]{1,15}", p[4].text) for p in ports):
+        return None, k
+    return ("WIRE", *[(p[0].text, p[2].text, int(p[4].value)) for p in ports], run[0].line, run[0].col), k + len(kinds)
+
+
 def lex_outcome(lex, text):
     """Token tuples, or the ParseError diagnostic text. A CHOI token, and a
     '[' ... ']' run after ``choi`` that parses, both become one
     ('CHOI', '[', entry bits, line, col) tuple: a one-pass literal is compared
-    with the run of reference tokens it replaces."""
+    with the run of reference tokens it replaces. Likewise a NODE or WIRE
+    token, and the one-line run it stands for after ``node`` or ``wire``, both
+    become one ('NODE', name, box, line, col) or ('WIRE', port, port, line,
+    col) tuple. A run follows its keyword as the previous tuple, so a keyword
+    or ``choi`` that a fold took in is no keyword for the next run."""
     try:
-        toks = lex(text, "f.pd")
+        toks = [Token(*tok) for tok in lex(text, "f.pd")]
     except D.ParseError as exc:
         return str(exc)
     out, k = [], 0
     while k < len(toks):
-        tok, entries, end = toks[k], None, k + 1
+        tok, entries, folded, end = toks[k], None, None, k + 1
+        after = out[-1][:2] if out else None
         if tok.kind == "CHOI":
             entries = tok.value
-        elif tok.kind == "LBRACK" and k and toks[k - 1][:2] == ("IDENT", "choi"):
+        elif tok.kind == "LBRACK" and after == ("IDENT", "choi"):
             entries, end = literal_run(toks, k)
-        if entries is None:
+        elif tok.kind == "NODE":
+            folded = ("NODE", tok.text, tok.value, tok.line, tok.col)
+        elif tok.kind == "WIRE":
+            folded = ("WIRE", *[(p.node, p.side, p.index) for p in tok.value], tok.line, tok.col)
+        elif after in (("IDENT", "node"), ("IDENT", "wire")):
+            folded, end = statement_run(toks, k, after[1])
+        if entries is not None:
+            folded = ("CHOI", "[", entry_bits(entries), tok.line, tok.col)
+        if folded is None:
             out.append(tuple(tok))
             k += 1
         else:
-            out.append(("CHOI", "[", entry_bits(entries), tok.line, tok.col))
+            out.append(folded)
             k = end
     return out
 
@@ -726,7 +777,7 @@ def test_one_pass_literals_match_reference_on_choi_bodies(text):
 
 
 def test_well_formed_literal_is_one_choi_token_with_signed_zeros_kept():
-    toks = D._lex("box b : -> = choi [-0, -0i, -0+0i, 0-0i, - 1,\n 1 +\n2i, 2.5e+2i]  x", "f.pd")
+    toks = lex_tokens("box b : -> = choi [-0, -0i, -0+0i, 0-0i, - 1,\n 1 +\n2i, 2.5e+2i]  x")
     ident, choi, x = toks[-4:-1]
     assert (tuple(ident), choi[:2], choi[3:]) == (("IDENT", "choi", "choi", 1, 14), ("CHOI", "["), (1, 19))
     assert entry_bits(choi.value) == entry_bits([complex(-0.0, 0.0), complex(0.0, -0.0), 0j, 0j, -1 + 0j,
@@ -746,6 +797,84 @@ def test_long_literal_missing_its_bracket_keeps_the_diagnostic():
     text = "box b : -> = choi [" + ", ".join(["1"] * 100_000) + "\ncheck causal b in qphys\n"
     assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
     assert parse_outcome(parse_new, text) == "f.pd:2:1: parse: expected ']', got 'check'"
+
+
+# Node and wire statements, one-match and not: newlines and comments inside,
+# blanks between all tokens, indices that are not 1 to 15 digits, unknown
+# sides, 'bound' and 'wire' as names, a duplicate node, an undefined box, an
+# undefined node on either side; after the places of CHOI_PLACES, in a diagram,
+# and where ``node``/``wire`` is read as a name.
+STATEMENT_HEADER = "system q = Q(1)\nbox e : q -> q = id\nbox wire : q -> q = id\n"
+NODE_LINES = ["node n : e", "node m:e", "node k \t: wire", "node wire : wire", "node n :e", "node y-x : e",
+              "node\n o : e", "node p :\n e", "node r : e # c", "node s # c\n: e", "node bound : e", "node t : ghost",
+              "node u : choi [1]", "node v", "node : e", "node 1n : e", "node x : e-1", "node z : e . x"]
+WIRE_LINES = ["wire n.out[0] -> m.in[0]", "wire bound.in[0]->n.in[0]", "wire m . out [ 0 ] -> bound . out [ 0 ]",
+              "wire\tn.out[1] -> m.in[1]", "wire ghost.out[0] -> n.in[0]", "wire n.out[0] -> ghost.in[0]",
+              "wire wire.out[0] -> node.in[0]", "wire\n n.out[0] -> m.in[0]", "wire a.out[0] ->\n b.in[0]",
+              "wire a . out [ 0 ]", "wire a.inx[0]", "wire n.inx[0] -> m.in[0]", "wire n.out[1.0] -> m.in[0]",
+              "wire n.out[0] -> m.in[1e0]", "wire n.out[007] -> m.in[0]", "wire n.out[" + "1" * 20 + "] -> m.in[0]",
+              "wire n.out[0] -> m.in[1e999]", "wire n.out[1.5] -> m.in[0]", "wire n.out[0i] -> m.in[0]",
+              "wire n.out[0] # c\n-> m.in[0]", "wire n.out[0] -> m.in[0] # c", "wire n.out[0] -> m.in[0] -> x",
+              "node k : e"]
+STATEMENT_PLACES = CHOI_PLACES + ["diagram D {\n", "diagram D { node n : e\n", "check ", "check causal D in ",
+                                  "system node = Q(1)\nsystem r = "]
+statement_text = st.tuples(
+    st.sampled_from(STATEMENT_PLACES), st.lists(st.sampled_from(NODE_LINES), max_size=4, unique=True),
+    st.lists(st.sampled_from(WIRE_LINES), max_size=4), st.sampled_from(["\n", " ", "\n  ", " # c\n"]),
+    st.sampled_from(["", "}", "\n}", "\n} x", "\n}\ncheck causal D in qphys"]),
+).map(lambda t: STATEMENT_HEADER + t[0] + t[3].join(t[1] + t[2]) + t[4])
+
+
+@given(statement_text)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_one_match_statements_match_reference(text):
+    assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text)
+    assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
+    # and every one-line statement is one match: none is left as separate tokens
+    toks = lex_tokens(text)
+    keywords = [k for k in range(1, len(toks)) if toks[k - 1][:2] in (("IDENT", "node"), ("IDENT", "wire"))]
+    assert [k for k in keywords if statement_run(toks, k, toks[k - 1].value)[0]] == []
+
+
+def test_one_line_statements_are_one_token_each():
+    toks = lex_tokens("diagram C {\n  node i0 : w\n  wire i0.out[0] -> i1 . in [ 12 ]\n}")
+    assert [t.kind for t in toks] == ["IDENT", "IDENT", "LBRACE", "IDENT", "NODE", "IDENT", "WIRE", "RBRACE", "EOF"]
+    assert [tuple(t) for t in toks[3:7]] == [
+        ("IDENT", "node", "node", 2, 3), ("NODE", "i0", "w", 2, 8),
+        ("IDENT", "wire", "wire", 3, 3), ("WIRE", "i0", (D.Port("i0", "out", 0), D.Port("i1", "in", 12)), 3, 8),
+    ]
+
+
+def test_diagnostic_after_one_match_statements_keeps_its_place():
+    text = ("system q = Q(2)\nbox w : q -> q = id\ndiagram C {\n  node a : w\n  node b : w\n"
+            "  wire a.out[0] -> b.in[0]\n  bogus\n}\n")
+    assert [t.kind for t in lex_tokens(text)].count("WIRE") == 1
+    with pytest.raises(D.ParseError) as exc:
+        parse_new(text)
+    assert str(exc.value) == "f.pd:7:3: parse: expected '}', got 'bogus'"
+    assert parse_outcome(reference_parse, text) == str(exc.value)
+
+
+# A one-match statement that fails a check, or whose keyword is read as a
+# name, is reported as the tokens it stands for are: the text is read again.
+REREAD = [
+    ("diagram D {\n node n : e\n node n : e\n}", "6:7: parse: duplicate identifier 'n' in diagram 'D'"),
+    ("diagram D {\n node bound : e\n}", "5:7: parse: 'bound' is reserved for boundary ports"),
+    ("diagram D {\n node n : ghost\n}", "5:11: parse: undefined box reference 'ghost'"),
+    ("diagram D {\n node n : e\n wire ghost.out[0] -> n.in[0]\n}", "6:7: parse: undefined node reference 'ghost'"),
+    ("diagram D {\n node n : e\n wire n.out[0] -> ghost.in[0]\n}", "6:19: parse: undefined node reference 'ghost'"),
+    ("check node a : b in qphys", "4:12: parse: undefined reference 'a'"),
+    ("diagram a {}\ncheck node a : b in qphys", "5:14: parse: expected 'in', got ':'"),
+    ("check causal e in node a : e\n", "4:24: parse: expected system/box/diagram/check, got 'a'"),
+    ("check wire a.out[0] -> b.in[0]", "4:12: parse: undefined reference 'a'"),
+]
+
+
+@pytest.mark.parametrize("text, diagnostic", REREAD)
+def test_statement_failing_at_its_token_is_reread(text, diagnostic):
+    text = STATEMENT_HEADER + text
+    assert {"NODE", "WIRE"} & {t.kind for t in lex_tokens(text)}
+    assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text) == f"f.pd:{diagnostic}"
 
 
 PD_FRAGMENTS = ["system q = ", "Q(2)", "C(3)", "Q(", "dual(", ")", " * ", "box b : ", " -> ", " = ",
