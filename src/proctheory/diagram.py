@@ -41,6 +41,8 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,8 +216,7 @@ def _lex(text, path, pattern=_TOKEN):
 # ---------------------------------------------------------------------------
 # Syntax objects
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     node: str  # node name, or "bound"
     side: str  # "in" | "out"
     index: int
@@ -227,8 +228,7 @@ class Port:
         return f"{self.node}.{self.side}[{self.index}]"
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(NamedTuple):
     a: Port
     b: Port
     line: int = 0
@@ -250,6 +250,9 @@ class DiagramNode:
 
 @dataclass
 class Diagram:
+    """Nodes and wires as parsed. Nothing mutates a parsed diagram, so its
+    ``wiring`` is built once, on first use, and kept."""
+
     name: str
     nodes: dict  # name -> DiagramNode, insertion ordered
     wires: list
@@ -258,6 +261,59 @@ class Diagram:
 
     def node_order(self):
         return list(self.nodes)
+
+    @cached_property
+    def wiring(self):
+        return _wiring(self)
+
+
+class Wiring(NamedTuple):
+    """A diagram's wire table, read by ``typecheck``, ``plan`` and ``evaluate``.
+
+    ``ends[w]`` holds wire ``w``'s two ends, ``a`` then ``b``, each as (node
+    index or None at the boundary, whether the end is a source, its
+    ``WireFactor`` or None at the boundary or out of range). ``reused`` holds
+    the ``(w, 0 | 1)`` ends whose port an earlier wire uses. ``node_wires[n]``
+    is the wire at each input, then output, port of node ``n`` (None where
+    unwired): the node's ket labels are ``2w``, its bra labels ``2w + 1``.
+    ``loops[n]`` tells whether a wire meets node ``n`` twice. ``bound[side]``
+    lists ``(index, w)`` for each boundary port of that side, by index.
+    """
+
+    ends: list
+    reused: set
+    node_wires: list
+    loops: list
+    bound: dict
+
+
+def _wiring(diagram):
+    nodes = {name: (n, node.s_in.factors, node.s_out.factors)
+             for n, (name, node) in enumerate(diagram.nodes.items())}
+    node_wires = [[None] * (len(ins) + len(outs)) for _, ins, outs in nodes.values()]
+    ports = [port for wire in diagram.wires for port in (wire.a, wire.b)]
+    flat, reused, seen, bound = [], set(), set(), {"in": [], "out": []}
+    for i, port in enumerate(ports):  # wire w's ends are ports[2w] and ports[2w + 1]
+        w = i // 2
+        if port in seen:
+            reused.add((w, i % 2))
+        seen.add(port)
+        name, side, k = port
+        if name == "bound":
+            bound[side].append((k, w))
+            flat.append((None, side == "in", None))  # the diagram's inputs are sources
+            continue
+        n, ins, outs = nodes[name]
+        factors, at = (ins, k) if side == "in" else (outs, len(ins) + k)
+        factor = None
+        if 0 <= k < len(factors):
+            factor = factors[k]
+            node_wires[n][at] = w
+        flat.append((n, side == "out", factor))
+    for side_ports in bound.values():
+        side_ports.sort(key=lambda entry: entry[0])  # stable: a reused index keeps wire order
+    loops = [len(set(ws)) < len(ws) for ws in node_wires]
+    return Wiring(list(zip(flat[0::2], flat[1::2])), reused, node_wires, loops, bound)
 
 
 @dataclass
@@ -327,6 +383,8 @@ class _Parser:
 
     def expect_int(self, what):
         tok = self.expect("NUMBER", what)
+        if tok[TEXT].isdigit():  # exact, where a float would round past 2**53
+            return int(tok[TEXT])
         if not tok[VALUE].is_integer():
             self.error(tok, f"expected integer {what}, got {tok[TEXT]}")
         return int(tok[VALUE])
@@ -619,22 +677,6 @@ class Violation:
         return format_diagnostic(path, self.line, self.col, self.rule, self.message)
 
 
-def _port_factor(diagram: Diagram, port: Port):
-    """Wire factor at a node port, or None for boundary ports."""
-    if port.is_boundary():
-        return None
-    node = diagram.nodes[port.node]
-    s = node.s_in if port.side == "in" else node.s_out
-    if port.index < 0 or port.index >= len(s.factors):
-        return None
-    return s.factors[port.index]
-
-
-def _is_source(port: Port):
-    # A source emits a wire end: node outputs and the diagram's own inputs.
-    return (port.side == "out") if not port.is_boundary() else (port.side == "in")
-
-
 def typecheck(diagram: Diagram, compact: bool, strict_orientation=False):
     """Check the wiring rules; returns all violations (empty when well typed).
 
@@ -642,91 +684,84 @@ def typecheck(diagram: Diagram, compact: bool, strict_orientation=False):
     cycles become legal. With ``strict_orientation`` wire factors must agree
     on orientation, not only on kind and dimension.
     """
+    wiring = diagram.wiring
+    nodes = list(diagram.nodes.values())
     violations = []
-    seen = {}
-    for w in diagram.wires:
-        for p in (w.a, w.b):
-            if not p.is_boundary():
-                node = diagram.nodes[p.node]
-                s = node.s_in if p.side == "in" else node.s_out
-                if p.index < 0 or p.index >= len(s.factors):
-                    violations.append(Violation(
-                        "structure",
-                        f"port {p} out of range (box {node.box!r} has "
-                        f"{len(s.factors)} {p.side} ports)", w.line, w.col))
-            if p in seen:
+    for w, wire in enumerate(diagram.wires):
+        for e, (port, (n, _, factor)) in enumerate(zip((wire.a, wire.b), wiring.ends[w])):
+            if factor is None and n is not None:
+                s = nodes[n].s_in if port.side == "in" else nodes[n].s_out
                 violations.append(Violation(
-                    "structure", f"port {p} used by more than one wire", w.line, w.col))
-            seen[p] = w
-        if w.a == w.b:
-            violations.append(Violation("structure", f"wire connects {w.a} to itself", w.line, w.col))
+                    "structure",
+                    f"port {port} out of range (box {nodes[n].box!r} has "
+                    f"{len(s.factors)} {port.side} ports)", wire.line, wire.col))
+            if (w, e) in wiring.reused:
+                violations.append(Violation(
+                    "structure", f"port {port} used by more than one wire", wire.line, wire.col))
+        if wire.a == wire.b:
+            violations.append(Violation("structure", f"wire connects {wire.a} to itself", wire.line, wire.col))
 
     # every node port must be wired exactly once
-    for node in diagram.nodes.values():
-        for side, s in (("in", node.s_in), ("out", node.s_out)):
-            for k in range(len(s.factors)):
-                if Port(node.name, side, k) not in seen:
+    for node, ws in zip(nodes, wiring.node_wires):
+        if None in ws:
+            n_in = len(node.s_in.factors)
+            for at, w in enumerate(ws):
+                if w is None:
+                    side, k = ("in", at) if at < n_in else ("out", at - n_in)
                     violations.append(Violation(
-                        "structure", f"port {node.name}.{side}[{k}] is not wired",
-                        node.line, node.col))
+                        "structure", f"port {node.name}.{side}[{k}] is not wired", node.line, node.col))
 
     # boundary indices contiguous from 0
     for side in ("in", "out"):
-        idxs = sorted(p.index for p in seen if p.is_boundary() and p.side == side)
+        idxs = sorted({k for k, _ in wiring.bound[side]})
         if idxs != list(range(len(idxs))):
             violations.append(Violation(
                 "structure", f"boundary {side} ports must be bound.{side}[0..n-1], got {idxs}",
                 diagram.line, diagram.col))
 
-    for w in diagram.wires:
-        fa, fb = _port_factor(diagram, w.a), _port_factor(diagram, w.b)
-        if fa is None and fb is None:
-            violations.append(Violation(
-                "iii", f"wire {w} connects two boundary ports; its type cannot be inferred",
-                w.line, w.col))
-        elif fa is not None and fb is not None:
-            ok = fa.same_carrier(fb) and (not strict_orientation or fa.orientation == fb.orientation)
-            if not ok:
+    for wire, ((na, sa, fa), (nb, sb, fb)) in zip(diagram.wires, wiring.ends):
+        if fa is None or fb is None:
+            if na is None and nb is None:
                 violations.append(Violation(
-                    "iii", f"wire {w} connects mismatched systems {fa} and {fb}", w.line, w.col))
-        sa, sb = _is_source(w.a), _is_source(w.b)
-        if sa and sb and not compact:
+                    "iii", f"wire {wire} connects two boundary ports; its type cannot be inferred",
+                    wire.line, wire.col))
+        elif not (fa.same_carrier(fb) and (not strict_orientation or fa.orientation == fb.orientation)):
             violations.append(Violation(
-                "i", f"wire {w} connects two outputs; the theory has no caps", w.line, w.col))
-        if not sa and not sb and not compact:
+                "iii", f"wire {wire} connects mismatched systems {fa} and {fb}", wire.line, wire.col))
+        if sa == sb and not compact:
+            ends, gen = ("outputs", "caps") if sa else ("inputs", "cups")
             violations.append(Violation(
-                "i", f"wire {w} connects two inputs; the theory has no cups", w.line, w.col))
+                "i", f"wire {wire} connects two {ends}; the theory has no {gen}", wire.line, wire.col))
 
     if not compact:
-        order = diagram.node_order()
-        adj = {name: set() for name in order}
-        for w in diagram.wires:
-            if not w.a.is_boundary() and not w.b.is_boundary():
-                src, dst = None, None
-                if _is_source(w.a) and not _is_source(w.b):
-                    src, dst = w.a.node, w.b.node
-                elif _is_source(w.b) and not _is_source(w.a):
-                    src, dst = w.b.node, w.a.node
-                if src is not None:
-                    adj[src].add(dst)
+        names = list(diagram.nodes)
+        adj = [set() for _ in names]  # source node -> sink nodes
+        for (na, sa, _), (nb, sb, _) in wiring.ends:
+            if na is not None and nb is not None and sa != sb:
+                if sa:
+                    adj[na].add(nb)
+                else:
+                    adj[nb].add(na)
         # Depth-first search with an explicit stack of successor iterators, so
-        # long chains do not hit the interpreter's recursion limit.
-        state = {name: 0 for name in order}  # 0 unvisited, 1 on stack, 2 done
-        for root in order:
+        # long chains do not hit the interpreter's recursion limit; successors
+        # are visited in name order.
+        by_name = names.__getitem__
+        state = [0] * len(names)  # 0 unvisited, 1 on stack, 2 done
+        for root in range(len(names)):
             if state[root]:
                 continue
             state[root] = 1
-            stack = [(root, iter(sorted(adj[root])))]
+            stack = [(root, iter(sorted(adj[root], key=by_name)))]
             while stack:
                 u, successors = stack[-1]
                 for v in successors:
                     if state[v] == 1:
                         violations.append(Violation(
-                            "ii", f"wiring cycle through node {v!r}; the theory is acyclic-only",
-                            diagram.nodes[v].line, diagram.nodes[v].col))
+                            "ii", f"wiring cycle through node {names[v]!r}; the theory is acyclic-only",
+                            nodes[v].line, nodes[v].col))
                     elif state[v] == 0:
                         state[v] = 1
-                        stack.append((v, iter(sorted(adj[v]))))
+                        stack.append((v, iter(sorted(adj[v], key=by_name))))
                         break
                 else:
                     state[u] = 2
@@ -743,14 +778,6 @@ class ContractionPlan:
     """Ordered pairwise merges; components named by their least node index."""
 
     steps: list  # of (rep_a, rep_b, predicted_open_dim)
-
-
-def _wire_dims(diagram: Diagram):
-    dims = {}
-    for w in diagram.wires:
-        f = _port_factor(diagram, w.a) or _port_factor(diagram, w.b)
-        dims[w] = f.dim if f is not None else 1
-    return dims
 
 
 def plan(diagram: Diagram, order=None):
@@ -773,16 +800,13 @@ def plan(diagram: Diagram, order=None):
     names = diagram.node_order()
     if len(names) < 2:
         return ContractionPlan([])
-    index = {n: i for i, n in enumerate(names)}
     open_ = [1] * len(names)  # indexed by representative; live ones are keys of nbr
     nbr = {i: {} for i in range(len(names))}  # rep -> {neighbour rep: shared dim}
-    dims = _wire_dims(diagram)
-    for w in diagram.wires:
-        d = dims[w]
-        a = None if w.a.is_boundary() else index[w.a.node]
-        b = None if w.b.is_boundary() else index[w.b.node]
+    for (a, _, fa), (b, _, fb) in diagram.wiring.ends:
         if a == b:  # self-loop, or boundary to boundary
             continue
+        f = fa or fb
+        d = f.dim if f is not None else 1
         for k in (a, b):
             if k is not None:
                 open_[k] *= d
@@ -805,6 +829,7 @@ def plan(diagram: Diagram, order=None):
             if i == j or i not in nbr or j not in nbr:
                 raise ValueError(f"invalid forced merge ({i}, {j}); live components: {sorted(nbr)}")
             i, j = min(i, j), max(i, j)
+            c = cost(i, j)
         else:
             while heap:
                 c, i, j = heapq.heappop(heap)
@@ -814,17 +839,19 @@ def plan(diagram: Diagram, order=None):
                 while second not in nbr:
                     second += 1
                 i, j = 0, second
-        c = cost(i, j)
+                c = cost(i, j)
         steps.append((i, j, c))
         # fold j into i: j's neighbours become i's, sharing both sets of wires
-        nbr[i].pop(j, None)
+        ni = nbr[i]
+        ni.pop(j, None)
         for k, d in nbr.pop(j).items():
             if k != i:
-                del nbr[k][j]
-                nbr[i][k] = nbr[k][i] = nbr[k].get(i, 1) * d
+                nk = nbr[k]
+                del nk[j]
+                ni[k] = nk[i] = nk.get(i, 1) * d
         open_[i] = c
-        for k in nbr[i]:
-            heapq.heappush(heap, (cost(i, k), min(i, k), max(i, k)))
+        for k, d in ni.items():  # cost(i, k): open_[i] is c, and i and k share d
+            heapq.heappush(heap, (c * open_[k] // d ** 2, min(i, k), max(i, k)))
     return ContractionPlan(steps)
 
 
@@ -844,11 +871,6 @@ def random_plan(diagram: Diagram, rng):
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _boundary_ports(diagram: Diagram, side):
-    ports = [p for w in diagram.wires for p in (w.a, w.b) if p.is_boundary() and p.side == side]
-    return sorted(ports, key=lambda p: p.index)
-
-
 def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=None):
     """Contract a typechecked diagram to a single ProcessTensor.
 
@@ -859,40 +881,28 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
     needs no tolerance, so ``tol`` is unused; it stays in the signature for
     callers that pass it positionally.
     """
-    names = diagram.node_order()
-    # wire labels: ket 2w, bra 2w+1
-    wire_of_port = {}
-    for wi, w in enumerate(diagram.wires):
-        for p in (w.a, w.b):
-            wire_of_port[p] = wi
-
-    tensors = {}
-    for ni, name in enumerate(names):
-        node = diagram.nodes[name]
+    wiring = diagram.wiring
+    comps = {}  # component representative -> (labels, tensor)
+    for n, (name, node) in enumerate(diagram.nodes.items()):
         if node.box not in env:
             raise KeyError(f"unresolved box {node.box!r} for node {name!r}")
         pt = env[node.box]
         if not (pt.input.same_carrier(node.s_in) and pt.output.same_carrier(node.s_out)):
             raise ValueError(f"process bound to box {node.box!r} does not match its declared type")
-        ports = [Port(name, "in", k) for k in range(len(pt.input.factors))] + [
-            Port(name, "out", k) for k in range(len(pt.output.factors))
-        ]
-        kets, bras = [], []
-        for p in ports:
-            wi = wire_of_port[p]
-            kets.append(2 * wi)
-            bras.append(2 * wi + 1)
-        subs = kets + bras
-        # contract self-loops (labels occurring twice) right away
-        out_subs = sorted(l for l in set(subs) if subs.count(l) == 1)
-        t = contract(pt.legs(), subs, out_subs)
-        tensors[ni] = (out_subs, t)
+        ws = wiring.node_wires[n]
+        if None in ws:
+            raise ValueError(f"node {name!r} has an unwired port")
+        subs = [2 * w for w in ws] + [2 * w + 1 for w in ws]  # kets, then bras
+        if wiring.loops[n]:  # contract self-loops (labels occurring twice) right away
+            out_subs = sorted(l for l in set(subs) if subs.count(l) == 1)
+            comps[n] = (out_subs, contract(pt.legs(), subs, out_subs))
+        else:
+            comps[n] = (subs, pt.legs())
 
-    if not names:
+    if not comps:
         result_labels, result = [], np.ones(())
     else:
         cplan = contraction if contraction is not None else plan(diagram)
-        comps = dict(tensors)
         for a, b, _cost in cplan.steps:
             subs_a, ta = comps[a]
             subs_b, tb = comps[b]
@@ -905,30 +915,18 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
             raise ValueError("contraction plan did not merge the diagram into one component")
         (result_labels, result), = comps.values()
 
-    bin_ports = _boundary_ports(diagram, "in")
-    bout_ports = _boundary_ports(diagram, "out")
-
-    def port_ket_bra(p):
-        wi = wire_of_port[p]
-        return 2 * wi, 2 * wi + 1
-
-    def port_factor_at_boundary(p):
-        w = diagram.wires[wire_of_port[p]]
-        other = w.b if w.a == p else w.a
-        f = _port_factor(diagram, other)
-        if f is None:
-            raise ValueError(f"boundary wire {w} has no typed endpoint")
-        return f
-
-    in_factors = [port_factor_at_boundary(p) for p in bin_ports]
-    out_factors = [port_factor_at_boundary(p) for p in bout_ports]
-    kets = [port_ket_bra(p)[0] for p in bin_ports] + [port_ket_bra(p)[0] for p in bout_ports]
-    bras = [port_ket_bra(p)[1] for p in bin_ports] + [port_ket_bra(p)[1] for p in bout_ports]
-    want = kets + bras
+    open_wires = [w for side in ("in", "out") for _, w in wiring.bound[side]]
+    factors = []
+    for w in open_wires:
+        (_, _, fa), (_, _, fb) = wiring.ends[w]
+        if fa is None and fb is None:
+            raise ValueError(f"boundary wire {diagram.wires[w]} has no typed endpoint")
+        factors.append(fa or fb)
+    want = [2 * w for w in open_wires] + [2 * w + 1 for w in open_wires]
     if sorted(want) != sorted(result_labels):
         raise ValueError("evaluation did not leave exactly the boundary wires open")
     final = contract(result, result_labels, want) if want else result
-    s_in = SystemType(tuple(in_factors))
-    s_out = SystemType(tuple(out_factors))
+    n_in = len(wiring.bound["in"])
+    s_in, s_out = SystemType(tuple(factors[:n_in])), SystemType(tuple(factors[n_in:]))
     side = s_in.total_dim * s_out.total_dim
     return ProcessTensor._trusted(s_in, s_out, final.reshape(side, side))

@@ -170,9 +170,9 @@ def contract(*operands):
     matrix product when its loop exceeds ``_EINSUM_MAX_LOOP``.
     """
     *pairs, out = operands
-    tensors, labels = pairs[0::2], [list(ls) for ls in pairs[1::2]]
-    if len(tensors) == 2:
-        (a, b), (la, lb) = tensors, labels
+    if len(pairs) == 4 and pairs[0].size * pairs[2].size > _EINSUM_MAX_LOOP:  # else no loop exceeds it
+        a, la, b, lb = pairs
+        la, lb = list(la), list(lb)
         sa, sb = set(la), set(lb)
         dims = dict(zip(la, a.shape))
         plain = (len(sa) == len(la) and len(sb) == len(lb)
@@ -188,8 +188,8 @@ def contract(*operands):
             return t.reshape([dims[l] for l in free]).transpose([free.index(l) for l in out])
     local = {}
     args = []
-    for t, ls in zip(tensors, labels):
-        args += [t, [local.setdefault(l, len(local)) for l in ls]]
+    for k in range(0, len(pairs), 2):
+        args += [pairs[k], [local.setdefault(l, len(local)) for l in pairs[k + 1]]]
     return np.einsum(*args, [local[l] for l in out])
 
 

@@ -309,6 +309,13 @@ BAD_SOURCES = [
     ("eval", IDENTITY + "  wire a.out[1.5] -> a.in[0]\n}\n", "5:14: parse: expected integer port index, got 1.5"),
     ("quotient", IDENTITY + "  wire a.out[0] -> a.in[1e999]\n}\n",
      "5:25: parse: expected integer port index, got 1e999"),
+    # integers are exact past 2**53: once read as 9007199254740992 and 100000000000000000000
+    ("eval", "system q = Q(9007199254740993)\nbox b : -> q = choi [1]\n",
+     "2:5: semantic: choi literal for 'b' needs 81129638414606699710187514626049 entries "
+     "(9007199254740993x9007199254740993), got 1"),
+    ("check", "system q = Q(99999999999999999999)\nbox b : -> q = choi [1]\n",
+     "2:5: semantic: choi literal for 'b' needs 9999999999999999999800000000000000000001 entries "
+     "(99999999999999999999x99999999999999999999), got 1"),
 ]
 
 
@@ -319,6 +326,31 @@ def test_bad_source_exit_2(command, source, diagnostic, tmp_path, capsys):
     code, out, err = run(capsys, command, p)
     assert "Traceback" not in err
     assert (code, out, err) == (2, "", f"{p}:{diagnostic}\n")
+
+
+# Wirings that parse but break a rule: exit 1, every violation on stderr, in order.
+BAD_WIRINGS = [
+    ("eval", IDENTITY + "  wire bound.in[0] -> a.in[0]\n  wire a.out[9007199254740993] -> bound.out[0]\n}\n",
+     ["6:3: structure: port a.out[9007199254740993] out of range (box 'w' has 1 out ports)",
+      "4:8: structure: port a.out[0] is not wired"]),
+    ("quotient", IDENTITY + "  wire bound.in[0] -> a.in[99999999999999999999]\n  wire a.out[0] -> bound.out[0]\n}\n",
+     ["5:3: structure: port a.in[99999999999999999999] out of range (box 'w' has 1 in ports)",
+      "4:8: structure: port a.in[0] is not wired"]),
+    # an out-of-range node port is no boundary port: rule iii stays silent
+    ("eval", IDENTITY + "  wire bound.in[0] -> a.in[0]\n  wire a.out[5] -> bound.out[0]\n}\n",
+     ["6:3: structure: port a.out[5] out of range (box 'w' has 1 out ports)",
+      "4:8: structure: port a.out[0] is not wired"]),
+    ("check", "diagram D {\n  wire bound.in[0] -> bound.out[0]\n}\ncheck causal D in qcalc\n",
+     ["2:3: iii: wire bound.in[0] -> bound.out[0] connects two boundary ports; its type cannot be inferred"]),
+]
+
+
+@pytest.mark.parametrize("command, source, diagnostics", BAD_WIRINGS)
+def test_bad_wiring_exit_1(command, source, diagnostics, tmp_path, capsys):
+    p = tmp_path / "bad.pd"
+    p.write_text(source)
+    code, out, err = run(capsys, command, p)
+    assert (code, out, err) == (1, "", "".join(f"{p}:{d}\n" for d in diagnostics))
 
 
 # `check member` under every directive theory: the exact line, with N and the failed laws

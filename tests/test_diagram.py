@@ -243,6 +243,26 @@ diagram Diamond {
 """
 
 
+def port_factor(diagram, port):
+    """Wire factor at a node port; None for boundary ports and out of range."""
+    if port.is_boundary():
+        return None
+    node = diagram.nodes[port.node]
+    s = node.s_in if port.side == "in" else node.s_out
+    if port.index < 0 or port.index >= len(s.factors):
+        return None
+    return s.factors[port.index]
+
+
+def reference_wire_dims(diagram):
+    """Per wire, the dim of the factor at either end (a first), or 1 where neither has one."""
+    dims = {}
+    for w in diagram.wires:
+        f = port_factor(diagram, w.a) or port_factor(diagram, w.b)
+        dims[w] = f.dim if f is not None else 1
+    return dims
+
+
 def _open_dim(members, diagram, dims):
     """Product of dims of wires crossing the component boundary (boundary wires included)."""
     d = 1
@@ -263,7 +283,7 @@ def reference_plan(diagram, order=None):
     names = diagram.node_order()
     if len(names) < 2:
         return D.ContractionPlan([])
-    dims = D._wire_dims(diagram)
+    dims = reference_wire_dims(diagram)
     comps = {i: {names[i]} for i in range(len(names))}
 
     def connected(i, j):
@@ -312,7 +332,7 @@ def random_order(diagram, rng):
 def enumerate_orders(diagram):
     """All merge orders with their worst intermediate dimension (brute force)."""
     names = diagram.node_order()
-    dims = D._wire_dims(diagram)
+    dims = reference_wire_dims(diagram)
 
     def rec(comps):
         if len(comps) == 1:
@@ -385,6 +405,189 @@ def test_long_chains_typecheck_without_recursion_limit():
     assert [v.rule for v in cycle] == ["ii"]
 
 
+def is_source(port):
+    # A source emits a wire end: node outputs and the diagram's own inputs.
+    return (port.side == "out") if not port.is_boundary() else (port.side == "in")
+
+
+def reference_typecheck(diagram, compact, strict_orientation=False):
+    """The Port-keyed type checker that ``D.typecheck`` replaced, kept as its
+    oracle. Rule iii's "two boundary ports" needs both ends at ``bound``, so
+    an out-of-range node port is reported once, under ``structure``."""
+    violations = []
+    seen = {}
+    for w in diagram.wires:
+        for p in (w.a, w.b):
+            if not p.is_boundary():
+                node = diagram.nodes[p.node]
+                s = node.s_in if p.side == "in" else node.s_out
+                if p.index < 0 or p.index >= len(s.factors):
+                    violations.append(D.Violation(
+                        "structure",
+                        f"port {p} out of range (box {node.box!r} has "
+                        f"{len(s.factors)} {p.side} ports)", w.line, w.col))
+            if p in seen:
+                violations.append(D.Violation(
+                    "structure", f"port {p} used by more than one wire", w.line, w.col))
+            seen[p] = w
+        if w.a == w.b:
+            violations.append(D.Violation("structure", f"wire connects {w.a} to itself", w.line, w.col))
+
+    for node in diagram.nodes.values():
+        for side, s in (("in", node.s_in), ("out", node.s_out)):
+            for k in range(len(s.factors)):
+                if D.Port(node.name, side, k) not in seen:
+                    violations.append(D.Violation(
+                        "structure", f"port {node.name}.{side}[{k}] is not wired", node.line, node.col))
+
+    for side in ("in", "out"):
+        idxs = sorted(p.index for p in seen if p.is_boundary() and p.side == side)
+        if idxs != list(range(len(idxs))):
+            violations.append(D.Violation(
+                "structure", f"boundary {side} ports must be bound.{side}[0..n-1], got {idxs}",
+                diagram.line, diagram.col))
+
+    for w in diagram.wires:
+        fa, fb = port_factor(diagram, w.a), port_factor(diagram, w.b)
+        if w.a.is_boundary() and w.b.is_boundary():
+            violations.append(D.Violation(
+                "iii", f"wire {w} connects two boundary ports; its type cannot be inferred", w.line, w.col))
+        elif fa is not None and fb is not None:
+            ok = fa.same_carrier(fb) and (not strict_orientation or fa.orientation == fb.orientation)
+            if not ok:
+                violations.append(D.Violation(
+                    "iii", f"wire {w} connects mismatched systems {fa} and {fb}", w.line, w.col))
+        sa, sb = is_source(w.a), is_source(w.b)
+        if sa and sb and not compact:
+            violations.append(D.Violation(
+                "i", f"wire {w} connects two outputs; the theory has no caps", w.line, w.col))
+        if not sa and not sb and not compact:
+            violations.append(D.Violation(
+                "i", f"wire {w} connects two inputs; the theory has no cups", w.line, w.col))
+
+    if not compact:
+        order = diagram.node_order()
+        adj = {name: set() for name in order}
+        for w in diagram.wires:
+            if not w.a.is_boundary() and not w.b.is_boundary():
+                if is_source(w.a) and not is_source(w.b):
+                    adj[w.a.node].add(w.b.node)
+                elif is_source(w.b) and not is_source(w.a):
+                    adj[w.b.node].add(w.a.node)
+        state = {name: 0 for name in order}  # 0 unvisited, 1 on stack, 2 done
+        for root in order:
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, iter(sorted(adj[root])))]
+            while stack:
+                u, successors = stack[-1]
+                for v in successors:
+                    if state[v] == 1:
+                        violations.append(D.Violation(
+                            "ii", f"wiring cycle through node {v!r}; the theory is acyclic-only",
+                            diagram.nodes[v].line, diagram.nodes[v].col))
+                    elif state[v] == 0:
+                        state[v] = 1
+                        stack.append((v, iter(sorted(adj[v]))))
+                        break
+                else:
+                    state[u] = 2
+                    stack.pop()
+    return violations
+
+
+def mutated(diagram, rng, mutations=3):
+    """A copy of ``diagram`` with up to ``mutations`` wiring faults: a port out
+    of range (at the boundary's far end or not), a reused port, a port wired
+    to itself, a boundary-to-boundary wire, two node-to-node wires with their
+    sinks swapped (a cycle, on a chain), a dropped wire, or a moved boundary
+    index."""
+    wires = list(diagram.wires)
+    for _ in range(rng.integers(1, mutations + 1)):
+        if not wires:
+            wires.append(D.Wire(D.Port("bound", "in", 0), D.Port("bound", "out", 0), 9, 1))
+            continue
+        k = int(rng.integers(len(wires)))
+        w = wires[k]
+        kind = int(rng.integers(7))
+        if kind == 0:
+            end = w.a if rng.integers(2) else w.b
+            index = int(rng.choice([5, 2**53 + 1, 10**20]))
+            moved = D.Port(end.node, end.side, index)
+            wires[k] = D.Wire(moved, w.b, w.line, w.col) if end is w.a else D.Wire(w.a, moved, w.line, w.col)
+        elif kind == 1:
+            other = wires[int(rng.integers(len(wires)))]
+            wires.insert(int(rng.integers(len(wires) + 1)), D.Wire(w.b if rng.integers(2) else w.a, other.b, 7, 3))
+        elif kind == 2:
+            wires[k] = D.Wire(w.a, w.a, w.line, w.col)
+        elif kind == 3:
+            wires.append(D.Wire(D.Port("bound", "in", len(wires)), D.Port("bound", "out", 0), 8, 2))
+        elif kind == 4:
+            inner = [j for j, v in enumerate(wires) if not v.a.is_boundary() and not v.b.is_boundary()]
+            if len(inner) >= 2:
+                i, j = rng.choice(inner, size=2, replace=False)
+                wi, wj = wires[i], wires[j]
+                wires[i], wires[j] = D.Wire(wi.a, wj.b, wi.line, wi.col), D.Wire(wj.a, wi.b, wj.line, wj.col)
+        elif kind == 5:
+            del wires[k]
+        else:
+            bound = D.Port("bound", "out" if rng.integers(2) else "in", int(rng.integers(4)))
+            wires[k] = D.Wire(w.a, bound, w.line, w.col)
+    return D.Diagram(diagram.name, diagram.nodes, wires, diagram.line, diagram.col)
+
+
+# A cycle y -> x -> y entered from r, whose successors' name order (x, y) is
+# not their node order (y, x): the order of the search decides the node reported.
+FORK = """system q = Q(2)
+box f : q * q -> q * q = swap
+box s : -> q * q = cup
+diagram Fork {
+  node r : s
+  node y : f
+  node x : f
+  wire r.out[0] -> y.in[0]
+  wire r.out[1] -> x.in[0]
+  wire y.out[0] -> x.in[1]
+  wire x.out[0] -> y.in[1]
+  wire y.out[1] -> bound.out[0]
+  wire x.out[1] -> bound.out[1]
+}"""
+
+
+def typecheck_corpus():
+    """``plan_corpus()``, FORK and the diagrams of the bad files that parse."""
+    paths = [BAD / f"bad_{name}.pd" for name in ("port_reuse", "rule_i", "rule_ii", "rule_iii")]
+    return plan_corpus() + [("fork", D.parse(FORK).diagrams["Fork"])] + [
+        (f"{path.name}:{name}", dg) for path in paths for name, dg in D.parse_file(path).diagrams.items()]
+
+
+MODES = [(compact, strict) for compact in (False, True) for strict in (False, True)]
+
+
+def test_typecheck_matches_reference_on_corpus():
+    for label, dg in typecheck_corpus():
+        for compact, strict in MODES:
+            assert D.typecheck(dg, compact, strict) == reference_typecheck(dg, compact, strict), label
+
+
+VIOLATION_KINDS = ["out of range", "more than one wire", "to itself", "not wired", "must be bound",
+                   "two boundary", "mismatched", "two outputs", "two inputs", "cycle"]
+
+
+def test_typecheck_matches_reference_on_mutated_wirings():
+    rng = np.random.default_rng(12)
+    seen = set()
+    for label, dg in typecheck_corpus():
+        for variant in range(16):
+            bad = mutated(dg, rng)
+            for compact, strict in MODES:
+                got = D.typecheck(bad, compact, strict)
+                assert got == reference_typecheck(bad, compact, strict), (label, variant, bad.wires)
+                seen |= {kind for v in got for kind in VIOLATION_KINDS if kind in v.message}
+    assert seen == set(VIOLATION_KINDS)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -426,6 +629,16 @@ diagram A {{
         pf = D.parse(base.format(wires=wires))
         res.append(D.evaluate(pf.diagrams["A"], D.build_env(pf)).choi)
     assert np.allclose(res[0], res[1])
+
+
+def test_boundary_factors_follow_port_indices_not_wire_order():
+    # a swap whose outputs are crossed back: the identity, read in bound index order
+    pf = D.parse("system a = Q(2)\nsystem b = Q(3)\nbox s : a * b -> b * a = swap\ndiagram X {\n node g : s\n"
+                 " wire g.out[0] -> bound.out[1]\n wire bound.in[1] -> g.in[1]\n"
+                 " wire g.out[1] -> bound.out[0]\n wire bound.in[0] -> g.in[0]\n}")
+    res = D.evaluate(pf.diagrams["X"], D.build_env(pf))
+    assert res.input == res.output == Q(2) * Q(3)
+    assert np.array_equal(res.choi, P.identity(Q(2) * Q(3)).choi)
 
 
 def test_contraction_order_invariance():
@@ -635,7 +848,7 @@ def statement_run(toks, k, keyword):
     ``X.side[k] -> Y.side[k]`` (after ``wire``) run of tokens at ``toks[k]``,
     on the line of the keyword at ``toks[k - 1]``, and the index after the
     run; None if there is no such run. An index is 1 to 15 ASCII digits,
-    valued as the parser's ``int(float(text))``."""
+    valued as the parser's ``int(text)``."""
     kinds = STATEMENT_KINDS[keyword]
     run = toks[k : k + len(kinds)]
     if tuple(t.kind for t in run) != kinds or len({t.line for t in toks[k - 1 : k + len(kinds)]}) != 1:
@@ -645,7 +858,7 @@ def statement_run(toks, k, keyword):
     ports = [run[:6], run[7:]]
     if any(p[2].text not in ("in", "out") or not re.fullmatch(r"[0-9]{1,15}", p[4].text) for p in ports):
         return None, k
-    return ("WIRE", *[(p[0].text, p[2].text, int(p[4].value)) for p in ports], run[0].line, run[0].col), k + len(kinds)
+    return ("WIRE", *[(p[0].text, p[2].text, int(p[4].text)) for p in ports], run[0].line, run[0].col), k + len(kinds)
 
 
 def lex_outcome(lex, text):
