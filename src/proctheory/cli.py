@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -53,7 +54,7 @@ def _load(path):
     try:
         return dlang.parse_file(path), None
     except (dlang.ParseError, OSError) as exc:
-        return None, str(exc)
+        return None, str(exc) if isinstance(exc, dlang.ParseError) else f"{path}: {exc.strerror or exc}"
 
 
 def _load_env(args):
@@ -86,11 +87,22 @@ def cmd_parse(args):
     return code
 
 
-def _typecheck_or_report(d, theory, strict, path):
-    violations = dlang.typecheck(d, compact=theory.compact, strict_orientation=strict)
-    for v in violations:
-        print(v.format(path), file=sys.stderr)
-    return not violations
+def _compile(parsed, env, name, theory, args, memo):
+    """Diagram ``name`` evaluated, or None after printing its typecheck violations under ``theory``.
+
+    ``memo`` keeps each diagram's violations per wiring capability and its process, so calls
+    sharing it typecheck and evaluate a diagram once."""
+    key = (name, theory.compact)
+    if key not in memo:
+        memo[key] = dlang.typecheck(parsed.diagrams[name], compact=theory.compact,
+                                    strict_orientation=args.strict_orientation)
+    for v in memo[key]:
+        print(v.format(args.file), file=sys.stderr)
+    if memo[key]:
+        return None
+    if name not in memo:
+        memo[name] = dlang.evaluate(parsed.diagrams[name], env)
+    return memo[name]
 
 
 def _targets(args, parsed):
@@ -114,22 +126,12 @@ def cmd_eval(args):
         return EXIT_PARSE
     ok = True
     for name in targets:
-        d = parsed.diagrams[name]
-        if not _typecheck_or_report(d, theory, args.strict_orientation, args.file):
+        f = _compile(parsed, env, name, theory, args, {})
+        if f is None:
             ok = False
             continue
-        _print_process(name, dlang.evaluate(d, env), tol)
+        _print_process(name, f, tol)
     return EXIT_OK if ok else EXIT_TYPECHECK
-
-
-def _resolve_target(parsed, env, directive, theory, strict, tol, path):
-    """Target of a check directive: an evaluated diagram or a box process."""
-    if directive.target in parsed.diagrams:
-        d = parsed.diagrams[directive.target]
-        if not _typecheck_or_report(d, theory, strict, path):
-            return None
-        return dlang.evaluate(d, env)
-    return env[directive.target]
 
 
 # directives may also name qpart (particles/antiparticles): it wires like qcalc
@@ -177,7 +179,7 @@ def cmd_check(args):
             print(f"{path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return EXIT_PARSE
 
-    all_pass = True
+    all_pass, memo = True, {}
     for directive in parsed.checks:
         label = f"check {directive.prop} {directive.target} in {directive.theory}"
         if directive.prop not in CHECK_PROPS:
@@ -188,7 +190,8 @@ def cmd_check(args):
             print(f"{label}: unknown theory {directive.theory!r}; "
                   f"expected one of {sorted(_DIRECTIVE_THEORIES)}", file=sys.stderr)
             return EXIT_PARSE
-        f = _resolve_target(parsed, env, directive, theory, args.strict_orientation, tol, args.file)
+        f = (_compile(parsed, env, directive.target, theory, args, memo)
+             if directive.target in parsed.diagrams else env[directive.target])
         if f is None:
             all_pass = False
             continue
@@ -220,11 +223,10 @@ def cmd_quotient(args):
         return EXIT_PARSE
     ok = True
     for name in targets:
-        d = parsed.diagrams[name]
-        if not _typecheck_or_report(d, theory, args.strict_orientation, args.file):
+        f = _compile(parsed, env, name, theory, args, {})
+        if f is None:
             ok = False
             continue
-        f = dlang.evaluate(d, env)
         n = normalization_scalar(f).value
         cls = theories.canonical_rep(f, tol)
         print(f"{name}: N={n!r} zero={cls.is_zero_class(tol)}")
@@ -302,8 +304,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_for(tol_eq_env):
+    """``build_parser()``, reused by later ``main`` calls while PROCTHEORY_TOL_EQ, the one
+    input it reads, stays ``tol_eq_env``."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser_for(os.environ.get("PROCTHEORY_TOL_EQ")).parse_args(argv)
     return args.fn(args)
 
 

@@ -8,8 +8,17 @@ GOOD = Path(__file__).parent / "data" / "pd" / "good"
 BAD = Path(__file__).parent / "data" / "pd" / "bad"
 
 
-def run(capsys, *argv):
-    code = cli.main([str(a) for a in argv])
+def run(capsys, *argv, parser=None):
+    """``(exit code, stdout, stderr)`` of ``argv`` through ``cli.main``, or through ``parser``."""
+    argv = [str(a) for a in argv]
+    try:
+        if parser is None:
+            code = cli.main(argv)
+        else:
+            args = parser.parse_args(argv)
+            code = args.fn(args)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -104,16 +113,21 @@ def test_check_unknown_property_exit_3(tmp_path, capsys):
     assert "unknown property" in err
 
 
+# Z2 acting on a qubit by the identity and Z; dephasing commutes with both
+Z2_REP = "2 0\n0 1\n1 0\n2\n1 0 0 1\n1 0 0 -1\n"
+INTERTWINER_FILE = (
+    "system q = Q(2)\n"
+    "box d : q -> q = choi [1, 0, 0, 0,  0, 0, 0, 0,  0, 0, 0, 0,  0, 0, 0, 1]\n"
+    "diagram D { node n: d  wire bound.in[0] -> n.in[0]  wire n.out[0] -> bound.out[0] }\n"
+    "check intertwiner D in qcalc\n"
+)
+
+
 def test_check_intertwiner_with_rep_files(tmp_path, capsys):
     rep = tmp_path / "z2.grp"
-    rep.write_text("2 0\n0 1\n1 0\n2\n1 0 0 1\n1 0 0 -1\n")
+    rep.write_text(Z2_REP)
     p = tmp_path / "deph.pd"
-    p.write_text(
-        "system q = Q(2)\n"
-        "box d : q -> q = choi [1, 0, 0, 0,  0, 0, 0, 0,  0, 0, 0, 0,  0, 0, 0, 1]\n"
-        "diagram D { node n: d  wire bound.in[0] -> n.in[0]  wire n.out[0] -> bound.out[0] }\n"
-        "check intertwiner D in qcalc\n"
-    )
+    p.write_text(INTERTWINER_FILE)
     code, out, _ = run(capsys, "check", p, "--rep-in", rep, "--rep-out", rep)
     assert code == 0 and "pass" in out
 
@@ -132,13 +146,16 @@ def test_quotient_command(capsys):
     assert "N=4.0" in out and "canonical: scalar 1.0" in out
 
 
+# a state that misses trace 1 by 1e-6: causal only under a loose tolerance
+NEAR_FILE = (
+    "system q = Q(2)\nbox s : -> q = choi [0.500001, 0, 0, 0.5]\n"
+    "diagram D { node n: s  wire n.out[0] -> bound.out[0] }\ncheck causal D in qphys\n"
+)
+
+
 def test_tol_env_override(tmp_path, capsys, monkeypatch):
-    # a state that misses trace 1 by 1e-6: causal only under a loose tolerance
     p = tmp_path / "near.pd"
-    p.write_text(
-        "system q = Q(2)\nbox s : -> q = choi [0.500001, 0, 0, 0.5]\n"
-        "diagram D { node n: s  wire n.out[0] -> bound.out[0] }\ncheck causal D in qphys\n"
-    )
+    p.write_text(NEAR_FILE)
     code, out, _ = run(capsys, "check", p)
     assert code == 1
     monkeypatch.setenv("PROCTHEORY_TOL_EQ", "1e-3")
@@ -224,7 +241,7 @@ def test_check_member_in_qpart(tmp_path, capsys):
     assert "Traceback" not in err
     assert (code, out) == (0, "check member D in qpart: pass\n")
     rep = tmp_path / "z2.grp"
-    rep.write_text("2 0\n0 1\n1 0\n2\n1 0 0 1\n1 0 0 -1\n")
+    rep.write_text(Z2_REP)
     code, out, _ = run(capsys, "check", p, "--rep-in", rep, "--rep-out", rep)
     assert (code, out) == (0, "check member D in qpart: pass\n")
 
@@ -328,6 +345,14 @@ def test_bad_source_exit_2(command, source, diagnostic, tmp_path, capsys):
     assert (code, out, err) == (2, "", f"{p}:{diagnostic}\n")
 
 
+# Files that cannot be read: `path: reason` and exit 2, the form representation files get.
+@pytest.mark.parametrize("command", ["parse", "eval", "check", "quotient"])
+@pytest.mark.parametrize("name, reason", [("missing.pd", "No such file or directory"), (".", "Is a directory")])
+def test_unreadable_file_exit_2(command, name, reason, tmp_path, capsys):
+    path = tmp_path / name
+    assert run(capsys, command, path) == (2, "", f"{path}: {reason}\n")
+
+
 # Wirings that parse but break a rule: exit 1, every violation on stderr, in order.
 BAD_WIRINGS = [
     ("eval", IDENTITY + "  wire bound.in[0] -> a.in[0]\n  wire a.out[9007199254740993] -> bound.out[0]\n}\n",
@@ -400,3 +425,116 @@ def test_check_unknown_theory_exit_2(tmp_path, capsys):
     expected = "['qcalc', 'qcalc-bullet', 'qcalc-quotient', 'qneut', 'qpart', 'qphys', 'qphys-unital']"
     assert (code, out) == (2, "")
     assert err == f"check member mu in nope: unknown theory 'nope'; expected one of {expected}\n"
+
+
+# A check file naming one diagram in several directives: each diagram is typechecked once per
+# wiring capability (qphys has no caps, qcalc has) and evaluated once, and a failed typecheck is
+# reported for every directive it fails.
+RULE_I_CHECKS = (
+    (BAD / "bad_rule_i.pd").read_text()
+    + "check causal OutOut in qphys\ncheck member OutOut in qphys\n"
+    + "check causal OutOut in qcalc\ncheck member OutOut in qcalc\n"
+)
+RULE_I_VIOLATION = "7:5: i: wire a.out[0] -> b.out[0] connects two outputs; the theory has no caps"
+CHECK_ONCE_ROWS = [
+    ((GOOD / "dephasing_unital.pd").read_text(), 1, 1, 0,
+     "check causal Deph in qphys: pass\ncheck unital Deph in qphys-unital: pass\n"
+     "check member Deph in qphys-unital: pass\n", []),
+    (RULE_I_CHECKS, 2, 1, 1,
+     "check causal OutOut in qcalc: fail\ncheck member OutOut in qcalc: pass\n", [RULE_I_VIOLATION] * 2),
+]
+
+
+@pytest.mark.parametrize("source, typechecks, evaluations, code, out, violations", CHECK_ONCE_ROWS,
+                         ids=["dephasing_unital", "rule_i_with_and_without_caps"])
+def test_check_compiles_each_diagram_once(source, typechecks, evaluations, code, out, violations,
+                                          tmp_path, capsys, monkeypatch):
+    path = tmp_path / "checks.pd"
+    path.write_text(source)
+    calls = {"typecheck": 0, "evaluate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cli.dlang, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli.dlang, name, counted)
+    assert run(capsys, "check", path) == (code, out, "".join(f"{path}:{v}\n" for v in violations))
+    assert calls == {"typecheck": typechecks, "evaluate": evaluations}
+
+
+# a dual leg into an up-oriented port: wrong only under --strict-orientation
+STRICT_FILE = (
+    "system q = Q(2)\nbox u : -> q * dual(q) = cup\nbox d : q -> = discard\n"
+    "diagram S { node c: u  node t: d  node t2: d\n"
+    "  wire c.out[0] -> t.in[0]  wire c.out[1] -> t2.in[0] }\n"
+)
+
+
+# `main` reuses one parser across calls in a process: no call may leave state for the next.
+def flag_pairs(tmp_path):
+    """Pairs of argv lists, with a flag and without it, whose outputs differ."""
+    files = {"strict.pd": STRICT_FILE, "near.pd": NEAR_FILE, "deph.pd": INTERTWINER_FILE,
+             "z2.grp": Z2_REP}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    strict, near, deph, rep = (tmp_path / name for name in files)
+    mixed = GOOD / "maxmix_noise.pd"
+    return [
+        (["eval", mixed, "--diagram", "Noise"], ["eval", mixed]),
+        (["eval", strict, "--strict-orientation"], ["eval", strict]),
+        (["check", deph, "--rep-in", rep, "--rep-out", rep], ["check", deph]),
+        (["check", near, "--tol-eq", "1e-3"], ["check", near]),
+        (["eval", BAD / "bad_rule_i.pd", "--theory", "QPHYS"], ["eval", BAD / "bad_rule_i.pd"]),
+    ]
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+def test_reused_parser_keeps_no_state(flag_first, tmp_path, capsys):
+    pairs = flag_pairs(tmp_path)
+    sequence = [argv for pair in pairs for argv in (pair if flag_first else pair[::-1])]
+    seen = {}
+    for argv in sequence:
+        seen[str(argv)] = run(capsys, *argv)
+        assert seen[str(argv)] == run(capsys, *argv, parser=cli.build_parser())
+    for with_flag, without in pairs:
+        assert seen[str(with_flag)] != seen[str(without)]
+
+
+def test_tol_eq_env_read_on_every_call(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "near.pd"
+    p.write_text(NEAR_FILE)
+    monkeypatch.setenv("PROCTHEORY_TOL_EQ", "1e-3")
+    assert run(capsys, "check", p) == (0, "check causal D in qphys: pass\n", "")
+    monkeypatch.delenv("PROCTHEORY_TOL_EQ")  # back to 1e-9
+    assert run(capsys, "check", p) == (1, "check causal D in qphys: fail\n", "")
+    monkeypatch.setenv("PROCTHEORY_TOL_EQ", "abc")
+    code, out, err = run(capsys, "check", p)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"proctheory check: error: argument --tol-eq: {BAD_TOL} 'abc'"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+
+    def counted(_real=cli.build_parser):
+        builds.append(1)
+        return _real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.delenv("PROCTHEORY_TOL_EQ", raising=False)
+    cli._parser_for.cache_clear()
+    for command in ("eval", "check", "parse", "quotient", "eval", "check"):
+        assert run(capsys, command, SNAKE)[0] == 0
+    assert len(builds) == 1
+    monkeypatch.setenv("PROCTHEORY_TOL_EQ", "1e-6")  # the one input build_parser reads
+    for _ in range(3):
+        assert run(capsys, "eval", SNAKE)[0] == 0
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("command", ["parse", "eval", "check", "theorems", "quotient"])
+def test_help_matches_a_fresh_parser(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run(capsys, command, "--help", parser=cli.build_parser())
+    assert expected[0] == 0 and expected[1].startswith(f"usage: proctheory {command} ")
+    for _ in range(2):
+        assert run(capsys, command, "--help") == expected
