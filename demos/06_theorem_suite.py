@@ -16,4 +16,4 @@ for report in reports:
 print()
 print(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed")
 worst = max(reports, key=lambda r: r.residual)
-print(f"largest residual: {worst.residual:.3e} ({worst.name})")
+print(f"largest residual: {worst.residual:.3e} ({worst.name}, worst trial {worst.worst_trial})")

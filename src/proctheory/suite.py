@@ -1,10 +1,17 @@
 """Randomized, seeded verification of the library's structural theorems.
 
-Every check draws its samples from a generator seeded by (seed, check
-index) and returns its worst-case residual over its trials; it passes when
-that is within the check's bound. The same seed reproduces the residuals.
-Reports render as one line-delimited record per check with fields
-name, anchor, trials, residual, pass.
+A check is a per-trial function ``trial(rng, dims, tol, k)``, returning the
+residual of trial ``k``, and a fixed part run once after the trials; checks
+3-6 and 14 have only a fixed part, which also counts its cases. One loop
+runs every check's ``min(trials, cap)`` trials from one generator seeded by
+(seed, check index). It keeps the worst residual, the first trial that
+reached it and the generator state just before that trial, then folds in
+the fixed part. A trial that finds a non-member returns 1.0 and the loop
+goes on. A check passes when its residual is within its bound.
+
+The same seed reproduces the residuals; ``TRIALS[name]`` replays a worst
+trial from its state. Reports render as one line-delimited record per check
+with fields name, anchor, trials, residual, pass.
 
 The checks cover: discard preservation and its consequences, the
 time-reversed (noise) theory, the witness separating causality from
@@ -18,7 +25,8 @@ realization, and covariance of bent wires under group actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from .processes import (
 )
 from .systems import C, DOWN, Q, SystemType, TRIVIAL
 
-__all__ = ["CheckReport", "run_all", "format_report", "CHECK_NAMES"]
+__all__ = ["CheckReport", "run_all", "format_report", "CHECK_NAMES", "TRIALS"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,10 @@ class CheckReport:
     passed: bool
     seed: int
     tolerance: float
+    # the first trial with the worst residual, and the generator state just
+    # before it; both None for a check without random trials
+    worst_trial: int | None = None
+    worst_state: dict | None = field(default=None, compare=False, repr=False)
 
 
 def format_report(r: CheckReport):
@@ -49,6 +61,30 @@ def format_report(r: CheckReport):
         f"name={r.name} anchor={r.anchor} trials={r.trials} "
         f"residual={r.residual!r} pass={'true' if r.passed else 'false'}"
     )
+
+
+@dataclass(frozen=True)
+class _Check:
+    """``trial`` on min(trials, cap) draws, then ``fixed``; alone, ``fixed`` returns (residual, cases)."""
+
+    trial: Callable | None = None
+    fixed: Callable | None = None
+    cap: int | None = None
+
+    def __call__(self, rng, dims, trials, tol):
+        """(residual, trials, worst trial, generator state just before it)."""
+        if self.trial is None:
+            return (*self.fixed(rng, dims, tol), None, None)
+        n = trials if self.cap is None else min(trials, self.cap)
+        res, worst, worst_state = 0.0, None, None
+        for k in range(n):
+            before = rng.bit_generator.state
+            r = self.trial(rng, dims, tol, k)
+            if worst is None or r > res:
+                res, worst, worst_state = r, k, before
+        if self.fixed is not None:
+            res = max(res, self.fixed(rng, dims, tol))
+        return res, n, worst, worst_state
 
 
 def _diff(a, b):
@@ -59,54 +95,41 @@ def _rand_dim(rng, dims):
     return int(dims[rng.integers(len(dims))])
 
 
-# --- check 1 ---------------------------------------------------------------
+def _causality_trial(rng, dims, tol, k):
+    din, dout = _rand_dim(rng, dims), _rand_dim(rng, dims)
+    e = processes.random_cptp(rng, Q(din), Q(dout))
+    # discarding the outputs equals discarding the inputs
+    return _diff(compose_seq(discard(Q(dout)), e).choi, discard(Q(din)).choi)
 
-def _check_causality(rng, dims, trials, tol):
-    res = 0.0
-    for _ in range(trials):
-        din, dout = _rand_dim(rng, dims), _rand_dim(rng, dims)
-        e = processes.random_cptp(rng, Q(din), Q(dout))
-        # discarding the outputs equals discarding the inputs
-        res = max(res, _diff(compose_seq(discard(Q(dout)), e).choi, discard(Q(din)).choi))
+
+def _causality_fixed(rng, dims, tol):
     # discarding a composite is discarding the components
-    for da in dims:
-        for db in dims:
-            lhs = discard(Q(da) * C(db)).choi
-            rhs = compose_par(discard(Q(da)), discard(C(db))).choi
-            res = max(res, _diff(lhs, rhs))
+    pairs = [(Q(da), C(db)) for da in dims for db in dims]
+    res = max(_diff(discard(a * b).choi, compose_par(discard(a), discard(b)).choi) for a, b in pairs)
     # the unique scalar is the empty diagram
-    res = max(res, abs(processes.as_scalar(discard(TRIVIAL)).value - 1.0))
-    return res, trials
+    return max(res, abs(processes.as_scalar(discard(TRIVIAL)).value - 1.0))
 
 
-# --- check 2 ---------------------------------------------------------------
-
-def _check_retrocausal(rng, dims, trials, tol):
-    res = 0.0
-    for _ in range(trials):
-        din, dout = _rand_dim(rng, dims), _rand_dim(rng, dims)
-        e = processes.random_cptp(rng, Q(din), Q(dout))
-        r = dagger_h(e)  # a process of the time-reversed theory
-        lhs = processes.apply(r, np.eye(r.din))
-        res = max(res, _diff(lhs, np.eye(r.dout)))
-    for da in dims:
-        for db in dims:
-            lhs = noise_state(Q(da) * Q(db)).choi
-            rhs = compose_par(noise_state(Q(da)), noise_state(Q(db))).choi
-            res = max(res, _diff(lhs, rhs))
-    return res, trials
+def _retrocausal_trial(rng, dims, tol, k):
+    din, dout = _rand_dim(rng, dims), _rand_dim(rng, dims)
+    e = processes.random_cptp(rng, Q(din), Q(dout))
+    r = dagger_h(e)  # a process of the time-reversed theory
+    lhs = processes.apply(r, np.eye(r.din))
+    return _diff(lhs, np.eye(r.dout))
 
 
-# --- check 3 ---------------------------------------------------------------
+def _retrocausal_fixed(rng, dims, tol):
+    pairs = [(Q(da), Q(db)) for da in dims for db in dims]
+    return max(_diff(noise_state(a * b).choi, compose_par(noise_state(a), noise_state(b)).choi)
+               for a, b in pairs)
 
-def _check_eternal_noise_witness(rng, dims, trials, tol):
+
+def _eternal_noise_witness(rng, dims, tol):
     zero = state(np.diag([1.0, 0.0]), Q(2))
     one = state(np.diag([0.0, 1.0]), Q(2))
     res = abs(max_abs(zero.choi - one.choi) - 1.0)
     return res, 1
 
-
-# --- check 4 ---------------------------------------------------------------
 
 def _collapse_residual(d):
     s = Q(d)
@@ -118,19 +141,12 @@ def _collapse_residual(d):
     return _diff(snake.choi, identity(s).choi)
 
 
-def _check_collapse_witness(rng, dims, trials, tol):
-    res_d1 = _collapse_residual(1)
-    shortfall = 0.0
-    for d in dims:
-        if d >= 2:
-            shortfall = max(shortfall, max(0.0, 0.4 - _collapse_residual(d)))
-    res = max(res_d1, shortfall)
-    return res, len(list(dims)) + 1
+def _collapse_witness(rng, dims, tol):
+    shortfall = max((0.4 - _collapse_residual(d) for d in dims if d >= 2), default=0.0)
+    return max(_collapse_residual(1), shortfall), len(dims) + 1
 
 
-# --- check 5 ---------------------------------------------------------------
-
-def _check_snakes(rng, dims, trials, tol):
+def _snakes(rng, dims, tol):
     res = 0.0
     for make in (Q, C):
         for d in dims:
@@ -146,9 +162,7 @@ def _check_snakes(rng, dims, trials, tol):
     return res, 4 * 2 * len(list(dims))
 
 
-# --- check 6 ---------------------------------------------------------------
-
-def _check_loops(rng, dims, trials, tol):
+def _loops(rng, dims, tol):
     res = 0.0
     for d in dims:
         classical = processes.as_scalar(compose_seq(cap(C(d)), cup(C(d)))).value
@@ -159,30 +173,22 @@ def _check_loops(rng, dims, trials, tol):
     return res, 2 * len(list(dims))
 
 
-# --- check 7 ---------------------------------------------------------------
+def _unital_dagger_trial(rng, dims, tol, k):
+    d = _rand_dim(rng, dims)
+    f = processes.random_mixture_of_unitaries(rng, Q(d))
+    g = processes.random_mixture_of_unitaries(rng, Q(d))
+    fd = theories.dagger_unital(f)
+    for member in (fd, compose_seq(g, f)):
+        if not theories.membership(theories.QPHYS_UNITAL, member, tol).ok:
+            return 1.0
+    return _diff(theories.dagger_unital(fd).choi, f.choi)
 
-def _check_unital_dagger(rng, dims, trials, tol):
-    res = 0.0
-    for _ in range(trials):
-        d = _rand_dim(rng, dims)
-        f = processes.random_mixture_of_unitaries(rng, Q(d))
-        g = processes.random_mixture_of_unitaries(rng, Q(d))
-        fd = theories.dagger_unital(f)
-        if not theories.membership(theories.QPHYS_UNITAL, fd, tol).ok:
-            return 1.0, trials
-        res = max(res, _diff(theories.dagger_unital(fd).choi, f.choi))
-        comp = compose_seq(g, f)
-        if not theories.membership(theories.QPHYS_UNITAL, comp, tol).ok:
-            return 1.0, trials
-    res = max(res, _diff(theories.dagger_unital(discard(Q(2))).choi, max_mixed(Q(2)).choi))
+
+def _unital_dagger_fixed(rng, dims, tol):
+    res = _diff(theories.dagger_unital(discard(Q(2))).choi, max_mixed(Q(2)).choi)
     u = processes.random_unitary(rng, 3)
-    res = max(
-        res,
-        _diff(
-            theories.dagger_unital(processes.channel_from_unitary(u, Q(3))).choi,
-            processes.channel_from_unitary(u.conj().T, Q(3)).choi,
-        ),
-    )
+    lhs = theories.dagger_unital(processes.channel_from_unitary(u, Q(3))).choi
+    res = max(res, _diff(lhs, processes.channel_from_unitary(u.conj().T, Q(3)).choi))
     # classical restriction: bistochastic kernels, row and column sums 1
     for _ in range(10):
         n = _rand_dim(rng, dims)
@@ -190,11 +196,9 @@ def _check_unital_dagger(rng, dims, trials, tol):
         res = max(res, _diff(k.sum(axis=0), np.ones(n)), _diff(k.sum(axis=1), np.ones(n)))
         ch = processes.classical_channel(k, C(n), C(n))
         if not theories.membership(theories.QPHYS_UNITAL, ch, tol).ok:
-            return 1.0, trials
-    return res, trials
+            return 1.0
+    return res
 
-
-# --- check 8 ---------------------------------------------------------------
 
 def _random_member_pair(rng, dims):
     """A no-signalling member as a product of a causal and a retro part."""
@@ -205,80 +209,69 @@ def _random_member_pair(rng, dims):
     return compose_par(f_c, f_r), f_c, f_r
 
 
-def _check_dual_causal(rng, dims, trials, tol):
-    res = 0.0
-    n = min(trials, 50)
-    for _ in range(n):
-        f, f_c, f_r = _random_member_pair(rng, dims)
-        v = groups.no_signalling(f, tol=tol)
-        if not v.ok:
-            return 1.0, n
-        res = max(res, v.residual_causal_to_retro, v.residual_retro_to_causal)
-        res = max(res, _diff(v.f_c.choi, f_c.choi), _diff(v.f_r.choi, f_r.choi))
-        # sequential composite of members stays a member
-        g_c = processes.random_cptp(rng, f_c.output, Q(_rand_dim(rng, dims)))
-        g_r = dagger_h(processes.random_cptp(rng, Q(_rand_dim(rng, dims), DOWN),
-                                             SystemType(f_r.output.factors)))
-        g = compose_par(g_c, g_r)
-        comp = compose_seq(g, f)
-        v2 = groups.no_signalling(comp, tol=tol)
-        if not v2.ok:
-            return 1.0, n
-        # closed member diagram: member state in, member effect out, scalar 1
-        t_c = discard(g_c.output)
-        e_r = processes.effect(processes.random_density(rng, g_r.dout), g_r.output)
-        closing = compose_par(t_c, e_r)
-        rho_c = state(processes.random_density(rng, f_c.din), f_c.input)
-        rho_r = state(np.eye(f_r.din), f_r.input)
-        opening = compose_par(rho_c, rho_r)
-        scalar = processes.as_scalar(compose_seq(closing, compose_seq(comp, opening)))
-        res = max(res, abs(scalar.value - 1.0))
-    return res, n
+def _dual_causal_trial(rng, dims, tol, k):
+    f, f_c, f_r = _random_member_pair(rng, dims)
+    v = groups.no_signalling(f, tol=tol)
+    if not v.ok:
+        return 1.0
+    res = max(v.residual_causal_to_retro, v.residual_retro_to_causal)
+    res = max(res, _diff(v.f_c.choi, f_c.choi), _diff(v.f_r.choi, f_r.choi))
+    # sequential composite of members stays a member
+    g_c = processes.random_cptp(rng, f_c.output, Q(_rand_dim(rng, dims)))
+    g_r = dagger_h(processes.random_cptp(rng, Q(_rand_dim(rng, dims), DOWN),
+                                         SystemType(f_r.output.factors)))
+    g = compose_par(g_c, g_r)
+    comp = compose_seq(g, f)
+    if not groups.no_signalling(comp, tol=tol).ok:
+        return 1.0
+    # closed member diagram: member state in, member effect out, scalar 1
+    t_c = discard(g_c.output)
+    e_r = processes.effect(processes.random_density(rng, g_r.dout), g_r.output)
+    closing = compose_par(t_c, e_r)
+    rho_c = state(processes.random_density(rng, f_c.din), f_c.input)
+    rho_r = state(np.eye(f_r.din), f_r.input)
+    opening = compose_par(rho_c, rho_r)
+    scalar = processes.as_scalar(compose_seq(closing, compose_seq(comp, opening)))
+    return max(res, abs(scalar.value - 1.0))
 
 
-# --- check 9 ---------------------------------------------------------------
+def _quotient_trial(rng, dims, tol, k):
+    d1, d2, d3 = (_rand_dim(rng, dims) for _ in range(3))
+    make = processes.random_cptp if k % 2 == 0 else processes.random_cp
+    f = make(rng, Q(d1), Q(d2))
+    g = make(rng, Q(d2), Q(d3))
+    r, s = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+    rf = processes.ProcessTensor(f.input, f.output, r * f.choi)
+    sg = processes.ProcessTensor(g.input, g.output, s * g.choi)
+    ca = theories.canonical_rep(compose_seq(sg, rf))
+    cb = theories.canonical_rep(compose_seq(g, f))
+    res = _diff(ca.canonical.choi, cb.canonical.choi)
+    # composition of classes through arbitrary representatives
+    cc = theories.quotient_compose(theories.canonical_rep(sg), theories.canonical_rep(rf))
+    res = max(res, _diff(cc.canonical.choi, cb.canonical.choi))
+    # the dagger descends to the quotient
+    da = theories.canonical_rep(dagger_h(rf))
+    db = theories.class_dagger(theories.canonical_rep(rf))
+    res = max(res, _diff(da.canonical.choi, db.canonical.choi))
+    # identity acts as the unit under renormalised composition, which
+    # snaps any nonzero process back to its representative element
+    fhat = theories.canonical_rep(rf).canonical
+    res = max(res, _diff(theories.bullet_compose(identity(fhat.output), fhat).choi, fhat.choi))
+    res = max(res, _diff(theories.bullet_compose(identity(rf.output), rf).choi, fhat.choi))
+    if not theories.membership(theories.QCALC_BULLET, theories.bullet_compose(sg, rf), tol).ok:
+        return 1.0
+    return res
 
-def _check_quotient(rng, dims, trials, tol):
-    res = 0.0
-    for k in range(trials):
-        d1, d2, d3 = (_rand_dim(rng, dims) for _ in range(3))
-        make = processes.random_cptp if k % 2 == 0 else processes.random_cp
-        f = make(rng, Q(d1), Q(d2))
-        g = make(rng, Q(d2), Q(d3))
-        r, s = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
-        rf = processes.ProcessTensor(f.input, f.output, r * f.choi)
-        sg = processes.ProcessTensor(g.input, g.output, s * g.choi)
-        ca = theories.canonical_rep(compose_seq(sg, rf))
-        cb = theories.canonical_rep(compose_seq(g, f))
-        res = max(res, _diff(ca.canonical.choi, cb.canonical.choi))
-        # composition of classes through arbitrary representatives
-        cc = theories.quotient_compose(theories.canonical_rep(sg), theories.canonical_rep(rf))
-        res = max(res, _diff(cc.canonical.choi, cb.canonical.choi))
-        # the dagger descends to the quotient
-        da = theories.canonical_rep(dagger_h(rf))
-        db = theories.class_dagger(theories.canonical_rep(rf))
-        res = max(res, _diff(da.canonical.choi, db.canonical.choi))
-        # identity acts as the unit under renormalised composition, which
-        # snaps any nonzero process back to its representative element
-        fhat = theories.canonical_rep(rf).canonical
-        res = max(res, _diff(theories.bullet_compose(identity(fhat.output), fhat).choi, fhat.choi))
-        res = max(res, _diff(theories.bullet_compose(identity(rf.output), rf).choi, fhat.choi))
-        if not theories.membership(theories.QCALC_BULLET, theories.bullet_compose(sg, rf), tol).ok:
-            return 1.0, trials
+
+def _quotient_fixed(rng, dims, tol):
     # cup and cap classes satisfy the snake at class level
     for d in dims:
         s_ = Q(d)
         snake = compose_seq(compose_par(cap(s_), identity(s_)), compose_par(identity(s_), cup(s_)))
-        res = max(
-            res,
-            0.0
-            if theories.class_equal(theories.canonical_rep(snake), theories.canonical_rep(identity(s_)))
-            else 1.0,
-        )
-    return res, trials
+        if not theories.class_equal(theories.canonical_rep(snake), theories.canonical_rep(identity(s_))):
+            return 1.0
+    return 0.0
 
-
-# --- check 10 --------------------------------------------------------------
 
 def _zero_pair(rng, d):
     """A composable pair whose composite is the zero process."""
@@ -287,26 +280,27 @@ def _zero_pair(rng, d):
     return e, rho
 
 
-def _check_bullet_equivalence(rng, dims, trials, tol):
+def _bullet_equivalence_trial(rng, dims, tol, k):
+    d1, d2, d3, d4 = (_rand_dim(rng, dims) for _ in range(4))
+    # alternate trace-preserving and generic CP samples so the
+    # renormalisation genuinely fires (N of a composite of canonical
+    # CP maps is not 1 in general)
+    make = processes.random_cptp if k % 2 == 0 else processes.random_cp
+    f = make(rng, Q(d1), Q(d2))
+    g = make(rng, Q(d2), Q(d3))
+    h = make(rng, Q(d3), Q(d4))
+    fh = theories.canonical_rep(f).canonical
+    gh = theories.canonical_rep(g).canonical
+    hh = theories.canonical_rep(h).canonical
+    lhs = theories.bullet_compose(gh, fh)
+    rhs = theories.canonical_rep(compose_seq(g, f)).canonical
+    assoc_l = theories.bullet_compose(hh, theories.bullet_compose(gh, fh))
+    assoc_r = theories.bullet_compose(theories.bullet_compose(hh, gh), fh)
+    return max(_diff(lhs.choi, rhs.choi), _diff(assoc_l.choi, assoc_r.choi))
+
+
+def _bullet_equivalence_fixed(rng, dims, tol):
     res = 0.0
-    for k in range(trials):
-        d1, d2, d3, d4 = (_rand_dim(rng, dims) for _ in range(4))
-        # alternate trace-preserving and generic CP samples so the
-        # renormalisation genuinely fires (N of a composite of canonical
-        # CP maps is not 1 in general)
-        make = processes.random_cptp if k % 2 == 0 else processes.random_cp
-        f = make(rng, Q(d1), Q(d2))
-        g = make(rng, Q(d2), Q(d3))
-        h = make(rng, Q(d3), Q(d4))
-        fh = theories.canonical_rep(f).canonical
-        gh = theories.canonical_rep(g).canonical
-        hh = theories.canonical_rep(h).canonical
-        lhs = theories.bullet_compose(gh, fh)
-        rhs = theories.canonical_rep(compose_seq(g, f)).canonical
-        res = max(res, _diff(lhs.choi, rhs.choi))
-        assoc_l = theories.bullet_compose(hh, theories.bullet_compose(gh, fh))
-        assoc_r = theories.bullet_compose(theories.bullet_compose(hh, gh), fh)
-        res = max(res, _diff(assoc_l.choi, assoc_r.choi))
     # associativity through forced zero branches
     for d in dims:
         if d < 2:
@@ -317,108 +311,89 @@ def _check_bullet_equivalence(rng, dims, trials, tol):
         res = max(res, _diff(lhs.choi, rhs.choi))
         # a zero composite lands in the zero branch
         res = max(res, max_abs(theories.bullet_compose(e, rho).choi))
-    return res, trials
+    return res
 
 
-# --- check 11 --------------------------------------------------------------
+def _zero_lemma_trial(rng, dims, tol, k):
+    d1, d2 = _rand_dim(rng, dims), _rand_dim(rng, dims)
+    f = processes.random_cptp(rng, Q(d1), Q(d2))  # a CPTP map is never zero
+    g = state(np.diag([1.0] + [0.0] * (d1 - 1)), Q(d1))  # rank-deficient but nonzero
+    for p in (f, g):
+        if theories.normalization_scalar(p).value <= tol.zero_abs:
+            return 1.0
+    return 0.0
 
-def _check_zero_lemma(rng, dims, trials, tol):
+
+def _zero_lemma_fixed(rng, dims, tol):
     res = 0.0
-    for _ in range(trials):
-        d1, d2 = _rand_dim(rng, dims), _rand_dim(rng, dims)
-        f = processes.random_cptp(rng, Q(d1), Q(d2))
-        n = theories.normalization_scalar(f).value
-        if n <= 1e-12:  # a CPTP map is never zero
-            return 1.0, trials
-        # rank-deficient but nonzero
-        g = state(np.diag([1.0] + [0.0] * (d1 - 1)), Q(d1))
-        if theories.normalization_scalar(g).value <= 1e-12:
-            return 1.0, trials
     for d in dims:
         z = processes.ProcessTensor(Q(d), Q(d), np.zeros((d * d, d * d)))
         res = max(res, theories.normalization_scalar(z).value, max_abs(z.choi))
-    return res, trials
+    return res
 
 
-# --- check 12 --------------------------------------------------------------
-
-def _check_noisy_determinism(rng, dims, trials, tol):
-    res = 0.0
-    n = min(trials, 50)
-    for _ in range(n):
-        d = _rand_dim(rng, dims)
-        eps = float(rng.uniform(0.05, 0.9))
-        length = int(rng.integers(1, 4))
-        rho = theories.noisy(state(processes.random_density(rng, d), Q(d)), eps)
-        chain = rho
-        for _ in range(length):
-            ch = theories.noisy(processes.random_cptp(rng, Q(d), Q(d)), eps)
-            chain = compose_seq(ch, chain)
-        eff = theories.noisy(processes.effect(processes.random_density(rng, d), Q(d)), eps)
-        closed = compose_seq(eff, chain)
-        # disconnected closed wiring in parallel: loops evaluate to positive numbers
-        if rng.uniform() < 0.5:
-            loop = compose_seq(cap(Q(2)), cup(Q(2)))
-            closed = compose_par(closed, loop)
-        val = processes.as_scalar(closed).value
-        if val <= 0.0:
-            return 1.0, n
-        cls = theories.canonical_rep(closed)
-        res = max(res, _diff(cls.canonical.choi, np.ones((1, 1))))
-    return res, n
+def _noisy_determinism_trial(rng, dims, tol, k):
+    d = _rand_dim(rng, dims)
+    eps = float(rng.uniform(0.05, 0.9))
+    length = int(rng.integers(1, 4))
+    rho = theories.noisy(state(processes.random_density(rng, d), Q(d)), eps)
+    chain = rho
+    for _ in range(length):
+        ch = theories.noisy(processes.random_cptp(rng, Q(d), Q(d)), eps)
+        chain = compose_seq(ch, chain)
+    eff = theories.noisy(processes.effect(processes.random_density(rng, d), Q(d)), eps)
+    closed = compose_seq(eff, chain)
+    # disconnected closed wiring in parallel: loops evaluate to positive numbers
+    if rng.uniform() < 0.5:
+        loop = compose_seq(cap(Q(2)), cup(Q(2)))
+        closed = compose_par(closed, loop)
+    if processes.as_scalar(closed).value <= 0.0:
+        return 1.0
+    cls = theories.canonical_rep(closed)
+    return _diff(cls.canonical.choi, np.ones((1, 1)))
 
 
-# --- check 13 --------------------------------------------------------------
+_ROLES_IN, _ROLES_OUT = ("past", "a-out", "b-out"), ("a-in", "b-in", "future")
 
-def _check_process_matrix(rng, dims, trials, tol):
-    res = 0.0
-    n = min(trials, 20)
-    roles_in = ("past", "a-out", "b-out")
-    roles_out = ("a-in", "b-in", "future")
-    for _ in range(n):
-        d = 2
-        dm = _rand_dim(rng, (2, 3))
-        g1 = processes.random_cptp(rng, Q(d), Q(d) * Q(dm))
-        g2 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d) * Q(dm))
-        g3 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d))
-        wch = higher_order.circuit_form_channel(g1, g2, g3)
-        w = higher_order.realize_process_matrix(wch, roles_in, roles_out)
-        sw = swap(Q(d), Q(d))
-        back = higher_order.apply_process_matrix(w, sw, sw)
-        res = max(res, _diff(back.choi, wch.choi))
-        a = processes.random_cptp(rng, Q(d), Q(d))
-        b = processes.random_cptp(rng, Q(d), Q(d))
-        got = higher_order.apply_process_matrix(w, a, b)
-        oracle = compose_seq(
-            g3,
-            compose_seq(
-                compose_par(b, identity(Q(dm))),
-                compose_seq(g2, compose_seq(compose_par(a, identity(Q(dm))), g1)),
-            ),
-        )
-        res = max(res, _diff(got.choi, oracle.choi))
-        if not processes.is_causal(got, tol):
-            return 1.0, n
+
+def _process_matrix_trial(rng, dims, tol, k):
+    d = 2
+    dm = _rand_dim(rng, (2, 3))
+    g1 = processes.random_cptp(rng, Q(d), Q(d) * Q(dm))
+    g2 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d) * Q(dm))
+    g3 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d))
+    wch = higher_order.circuit_form_channel(g1, g2, g3)
+    w = higher_order.realize_process_matrix(wch, _ROLES_IN, _ROLES_OUT)
+    sw = swap(Q(d), Q(d))
+    back = higher_order.apply_process_matrix(w, sw, sw)
+    a = processes.random_cptp(rng, Q(d), Q(d))
+    b = processes.random_cptp(rng, Q(d), Q(d))
+    got = higher_order.apply_process_matrix(w, a, b)
+    oracle = compose_seq(
+        g3,
+        compose_seq(
+            compose_par(b, identity(Q(dm))),
+            compose_seq(g2, compose_seq(compose_par(a, identity(Q(dm))), g1)),
+        ),
+    )
+    if not processes.is_causal(got, tol):
+        return 1.0
+    return max(_diff(back.choi, wch.choi), _diff(got.choi, oracle.choi))
+
+
+def _process_matrix_fixed(rng, dims, tol):
     # the causally ordered process matrix composes its arguments
     wo = higher_order.realize_process_matrix(
-        higher_order.ordered_process_channel(Q(2), Q(2), Q(2)), roles_in, roles_out
+        higher_order.ordered_process_channel(Q(2), Q(2), Q(2)), _ROLES_IN, _ROLES_OUT
     )
     a = processes.random_cptp(rng, Q(2), Q(2))
     b = processes.random_cptp(rng, Q(2), Q(2))
-    res = max(res, _diff(higher_order.apply_process_matrix(wo, a, b).choi, compose_seq(b, a).choi))
-    res = max(
-        res,
-        _diff(
-            higher_order.apply_process_matrix(wo, identity(Q(2)), identity(Q(2))).choi,
-            identity(Q(2)).choi,
-        ),
-    )
-    return res, n
+    res = _diff(higher_order.apply_process_matrix(wo, a, b).choi, compose_seq(b, a).choi)
+    ident = identity(Q(2))
+    return max(res, _diff(higher_order.apply_process_matrix(wo, ident, ident).choi, ident.choi))
 
 
-# --- check 14 --------------------------------------------------------------
-
-def _check_cap_intertwiner(rng, dims, trials, tol):
+def _cap_intertwiner(rng, dims, tol):
     res = 0.0
     z2 = groups.cyclic_group(2)
     rz = groups.Representation(z2, Q(2), (np.eye(2), np.diag([1.0, -1.0])))
@@ -429,39 +404,39 @@ def _check_cap_intertwiner(rng, dims, trials, tol):
         for g in rep.group.elements():
             u = np.kron(paired.unitary(g).conj(), np.eye(1))
             res = max(res, _diff(u @ c.choi @ u.conj().T, c.choi))
-        # composition of intertwiners is an intertwiner
-        deph = processes.channel_from_kraus(
-            [np.eye(2) / np.sqrt(2), np.diag([1.0, -1.0]) / np.sqrt(2)], Q(2), Q(2)
-        )
-        if rep is rz:
-            comp = compose_seq(deph, deph)
-            if not groups.is_intertwiner(comp, rz, rz, tol):
-                return 1.0, trials
-    return res, 2
+    # composition of intertwiners is an intertwiner
+    kraus = [np.eye(2) / np.sqrt(2), np.diag([1.0, -1.0]) / np.sqrt(2)]
+    deph = processes.channel_from_kraus(kraus, Q(2), Q(2))
+    return (res if groups.is_intertwiner(compose_seq(deph, deph), rz, rz, tol) else 1.0), 2
 
 
-# name, anchor, pass bound on the worst residual, check
+# checks 1-14: name, anchor, pass bound on the worst residual, check
 _ROWS = [
-    ("causality-preservation", "discard-preservation", 1e-9, _check_causality),
-    ("retrocausal-structure", "time-reversed-noise", 1e-9, _check_retrocausal),
-    ("eternal-noise-witness", "causal-not-retrocausal", 1e-12, _check_eternal_noise_witness),
-    ("causal-collapse-witness", "single-process-collapse", 1e-12, _check_collapse_witness),
-    ("snake-equations", "bent-wire-identities", 1e-12, _check_snakes),
-    ("loop-scalar", "loop-equals-carrier-dimension", 1e-12, _check_loops),
-    ("unital-dagger", "unital-subtheory-time-symmetry", 1e-9, _check_unital_dagger),
-    ("dual-causal-closure", "no-signalling-closure", 1e-9, _check_dual_causal),
-    ("quotient-well-defined", "scale-quotient", 1e-9, _check_quotient),
-    ("bullet-quotient-equivalence", "renormalised-composition", 1e-9, _check_bullet_equivalence),
-    ("zero-lemma", "local-tomography-zero", 1e-12, _check_zero_lemma),
-    ("noisy-determinism", "noise-restricted-determinism", 1e-9, _check_noisy_determinism),
-    ("process-matrix-roundtrip", "two-slot-realization", 1e-9, _check_process_matrix),
-    ("cap-intertwiner", "covariant-bent-wires", 1e-10, _check_cap_intertwiner),
+    ("causality-preservation", "discard-preservation", 1e-9, _Check(_causality_trial, _causality_fixed)),
+    ("retrocausal-structure", "time-reversed-noise", 1e-9, _Check(_retrocausal_trial, _retrocausal_fixed)),
+    ("eternal-noise-witness", "causal-not-retrocausal", 1e-12, _Check(fixed=_eternal_noise_witness)),
+    ("causal-collapse-witness", "single-process-collapse", 1e-12, _Check(fixed=_collapse_witness)),
+    ("snake-equations", "bent-wire-identities", 1e-12, _Check(fixed=_snakes)),
+    ("loop-scalar", "loop-equals-carrier-dimension", 1e-12, _Check(fixed=_loops)),
+    ("unital-dagger", "unital-subtheory-time-symmetry", 1e-9,
+     _Check(_unital_dagger_trial, _unital_dagger_fixed)),
+    ("dual-causal-closure", "no-signalling-closure", 1e-9, _Check(_dual_causal_trial, cap=50)),
+    ("quotient-well-defined", "scale-quotient", 1e-9, _Check(_quotient_trial, _quotient_fixed)),
+    ("bullet-quotient-equivalence", "renormalised-composition", 1e-9,
+     _Check(_bullet_equivalence_trial, _bullet_equivalence_fixed)),
+    ("zero-lemma", "local-tomography-zero", 1e-12, _Check(_zero_lemma_trial, _zero_lemma_fixed)),
+    ("noisy-determinism", "noise-restricted-determinism", 1e-9, _Check(_noisy_determinism_trial, cap=50)),
+    ("process-matrix-roundtrip", "two-slot-realization", 1e-9,
+     _Check(_process_matrix_trial, _process_matrix_fixed, cap=20)),
+    ("cap-intertwiner", "covariant-bent-wires", 1e-10, _Check(fixed=_cap_intertwiner)),
 ]
 
 # run_all reads _CHECKS, whose (name, anchor, check) rows callers may rewrap
 _CHECKS = [(name, anchor, check) for name, anchor, _, check in _ROWS]
 _BOUNDS = {name: bound for name, _, bound, _ in _ROWS}
 CHECK_NAMES = list(_BOUNDS)
+# name -> trial(rng, dims, tol, k), which replays a report's worst trial
+TRIALS = {name: check.trial for name, _, _, check in _ROWS if check.trial is not None}
 
 
 def run_all(seed=42, dims=(2, 3), trials=100, tol: Tolerances = DEFAULT_TOL):
@@ -474,7 +449,8 @@ def run_all(seed=42, dims=(2, 3), trials=100, tol: Tolerances = DEFAULT_TOL):
     reports = []
     for idx, (name, anchor, fn) in enumerate(_CHECKS):
         rng = np.random.default_rng([seed, idx])
-        residual, n = fn(rng, dims, trials, tol)
+        residual, n, worst, worst_state = fn(rng, dims, trials, tol)
         bound = _BOUNDS[name]
-        reports.append(CheckReport(name, anchor, n, float(residual), bool(residual <= bound), seed, bound))
+        reports.append(CheckReport(name, anchor, n, float(residual), bool(residual <= bound), seed, bound,
+                                   worst, worst_state))
     return reports

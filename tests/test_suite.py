@@ -1,12 +1,16 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proctheory import cli, suite, theories
+from proctheory import cli, groups, suite, theories
+from proctheory.numerics import DEFAULT_TOL, Tolerances
 from proctheory.processes import ProcessTensor, compose_seq
 
 GOOD = Path(__file__).parent / "data" / "pd" / "good"
+FIXED_ONLY = {"eternal-noise-witness", "causal-collapse-witness", "snake-equations", "loop-scalar",
+              "cap-intertwiner"}
 
 
 def test_all_checks_pass():
@@ -14,7 +18,53 @@ def test_all_checks_pass():
     assert len(reports) == 14
     assert all(r.passed for r in reports)
     for r in reports:
-        assert r.residual <= r.tolerance or r.passed
+        assert r.passed == (r.residual <= r.tolerance)
+
+
+def test_trials_column():
+    def column(dims, trials):
+        return [r.trials for r in suite.run_all(seed=42, dims=dims, trials=trials)]
+
+    assert column((2, 3), 100) == [100, 100, 1, 3, 16, 4, 100, 50, 100, 100, 100, 50, 20, 2]
+    assert column((1, 2), 7) == [7, 7, 1, 3, 16, 4, 7, 7, 7, 7, 7, 7, 7, 2]
+
+
+@pytest.mark.parametrize("seed, dims, trials", [(3, (2, 3), 12), (11, (1, 2), 5)])
+def test_worst_state_replays_the_worst_trial(seed, dims, trials):
+    reports = suite.run_all(seed=seed, dims=dims, trials=trials)
+    assert {r.name for r in reports if r.worst_trial is None} == FIXED_ONLY
+    assert all(r.worst_state is None for r in reports if r.name in FIXED_ONLY)
+    assert sorted(suite.TRIALS) == sorted(set(suite.CHECK_NAMES) - FIXED_ONLY)
+    for idx, r in enumerate(reports):
+        if r.name in FIXED_ONLY:
+            continue
+        trial = suite.TRIALS[r.name]
+        rng = np.random.default_rng([seed, idx])
+        residuals = [trial(rng, dims, DEFAULT_TOL, k) for k in range(r.trials)]
+        assert r.worst_trial == residuals.index(max(residuals)), r.name  # the first on ties
+        assert r.residual >= residuals[r.worst_trial]
+        replay = np.random.default_rng()
+        replay.bit_generator.state = r.worst_state
+        assert trial(replay, dims, DEFAULT_TOL, r.worst_trial) == residuals[r.worst_trial], r.name
+
+
+def test_worst_state_is_left_out_of_equality_and_repr():
+    r = suite.run_all(seed=5, dims=(2,), trials=3)[0]
+    assert r.worst_state is not None
+    assert dataclasses.replace(r, worst_state={}) == r != dataclasses.replace(r, worst_trial=-1)
+    assert "worst_state" not in repr(r) and "worst_trial=" in repr(r)
+
+
+def test_cap_intertwiner_reports_its_two_cases_when_it_fails(monkeypatch):
+    monkeypatch.setattr(groups, "is_intertwiner", lambda *args, **kwargs: False)
+    reports = {r.name: r for r in suite.run_all(1, (2,), 30)}
+    r = reports["cap-intertwiner"]
+    assert (r.trials, r.residual, r.passed) == (2, 1.0, False)
+
+
+def test_zero_lemma_honours_the_zero_tolerance():
+    reports = {r.name: r for r in suite.run_all(seed=42, dims=(2,), trials=5, tol=Tolerances(zero_abs=1e3))}
+    assert not reports["zero-lemma"].passed
 
 
 def test_reports_reproducible():
@@ -50,6 +100,8 @@ def test_mutated_bullet_fails_quotient_checks(monkeypatch):
     reports = {r.name: r for r in suite.run_all(seed=42, dims=(2,), trials=10)}
     assert not reports["quotient-well-defined"].passed
     assert not reports["bullet-quotient-equivalence"].passed
+    for r in reports.values():
+        assert r.passed == (r.residual <= r.tolerance)
 
 
 def test_mutated_normalization_fails_zero_lemma(monkeypatch):
