@@ -18,13 +18,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 
+import numpy as np
+
 from . import diagram as dlang
 from . import groups, suite, theories
-from .numerics import DEFAULT_TOL
-from .processes import as_scalar, is_causal, preserves_identity, preserves_max_mixed
+from .numerics import DEFAULT_TOL, mats_close, partial_trace
+from .processes import as_scalar
 from .theories import THEORIES, membership, normalization_scalar, theory_by_name
 
 EXIT_OK = 0
@@ -87,10 +90,11 @@ def cmd_parse(args):
     return code
 
 
-def _compile(parsed, env, name, theory, args, memo):
+def _compile(parsed, env, name, theory, args, memo, side=None):
     """Diagram ``name`` evaluated, or None after printing its typecheck violations under ``theory``.
 
-    ``memo`` keeps each diagram's violations per wiring capability and its process, so calls
+    With ``side``, it is the pair (Choi matrix, closed dimension) of the diagram closed on that
+    side. ``memo`` keeps each diagram's violations per wiring capability and its value, so calls
     sharing it typecheck and evaluate a diagram once."""
     key = (name, theory.compact)
     if key not in memo:
@@ -101,7 +105,9 @@ def _compile(parsed, env, name, theory, args, memo):
     if memo[key]:
         return None
     if name not in memo:
-        memo[name] = dlang.evaluate(parsed.diagrams[name], env)
+        diagram, boxes = (parsed.diagrams[name], {}) if side is None else dlang.close(parsed.diagrams[name], side)
+        f = dlang.evaluate(diagram, {**env, **boxes})
+        memo[name] = f if side is None else (f.choi, math.prod(len(g.choi) for g in boxes.values()))
     return memo[name]
 
 
@@ -115,36 +121,44 @@ def _targets(args, parsed):
     return [args.diagram]
 
 
-def cmd_eval(args):
+def _each_diagram(args, theory, show):
+    """The exit code of ``eval`` or ``quotient``: each target diagram typechecked under
+    ``theory`` and evaluated, and its value passed to ``show(name, f, tol)``."""
     loaded = _load_env(args)
-    if loaded is None:
-        return EXIT_PARSE
-    parsed, env, tol = loaded
-    theory = theory_by_name(args.theory)
-    targets = _targets(args, parsed)
+    targets = loaded and _targets(args, loaded[0])
     if targets is None:
         return EXIT_PARSE
+    parsed, env, tol = loaded
     ok = True
     for name in targets:
         f = _compile(parsed, env, name, theory, args, {})
-        if f is None:
-            ok = False
-            continue
-        _print_process(name, f, tol)
+        if f is not None:
+            show(name, f, tol)
+        ok = ok and f is not None
     return EXIT_OK if ok else EXIT_TYPECHECK
+
+
+def cmd_eval(args):
+    return _each_diagram(args, theory_by_name(args.theory), _print_process)
 
 
 # directives may also name qpart (particles/antiparticles): it wires like qcalc
 _QPART = theories.Theory("qpart", compact=True)
 _DIRECTIVE_THEORIES = {**THEORIES, _QPART.name: _QPART}
-_LAWS = {"causal": is_causal, "retrocausal": preserves_identity, "unital": preserves_max_mixed}
+# law -> (the side it closes, the reference the closed value must equal, given the kept and closed dims)
+_LAWS = {"causal": ("out", lambda kept, closed: np.eye(kept)),
+         "retrocausal": ("in", lambda kept, closed: np.eye(kept)),
+         "unital": ("in", lambda kept, closed: closed / kept * np.eye(kept))}
 CHECK_PROPS = (*_LAWS, "member", "intertwiner", "nosignalling")
 
 
 def _judge(prop, theory, f, rep_in, rep_out, tol):
     """``(passed, detail)`` for one check directive on ``f``, or ``(None, diagnostic)``."""
-    if prop in _LAWS:
-        return _LAWS[prop](f, tol), ""
+    if prop in _LAWS:  # ``f`` is a process, closed here by a partial trace, or a closed value
+        side, reference = _LAWS[prop]
+        value, closed = f if isinstance(f, tuple) else (
+            partial_trace(f.choi, [f.din, f.dout], [side == "in"]), f.din if side == "in" else f.dout)
+        return mats_close(value, reference(len(value), closed), tol), ""
     if prop == "nosignalling":
         verdict = groups.no_signalling(f, tol=tol)
         return verdict.ok, "" if verdict.ok else f" (signalling: {', '.join(verdict.failed_directions())})"
@@ -179,6 +193,10 @@ def cmd_check(args):
             print(f"{path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return EXIT_PARSE
 
+    sides = {}  # diagram -> the side closing it when all its directives are laws on that side
+    for directive in parsed.checks:
+        side = _LAWS[directive.prop][0] if directive.prop in _LAWS else None
+        sides[directive.target] = side if sides.get(directive.target, side) == side else None
     all_pass, memo = True, {}
     for directive in parsed.checks:
         label = f"check {directive.prop} {directive.target} in {directive.theory}"
@@ -190,7 +208,7 @@ def cmd_check(args):
             print(f"{label}: unknown theory {directive.theory!r}; "
                   f"expected one of {sorted(_DIRECTIVE_THEORIES)}", file=sys.stderr)
             return EXIT_PARSE
-        f = (_compile(parsed, env, directive.target, theory, args, memo)
+        f = (_compile(parsed, env, directive.target, theory, args, memo, sides[directive.target])
              if directive.target in parsed.diagrams else env[directive.target])
         if f is None:
             all_pass = False
@@ -212,26 +230,15 @@ def cmd_theorems(args):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_TYPECHECK
 
 
+def _print_quotient(name, f, tol):
+    n = normalization_scalar(f).value
+    cls = theories.canonical_rep(f, tol)
+    print(f"{name}: N={n!r} zero={cls.is_zero_class(tol)}")
+    _print_process(f"{name} canonical", cls.canonical, tol)
+
+
 def cmd_quotient(args):
-    loaded = _load_env(args)
-    if loaded is None:
-        return EXIT_PARSE
-    parsed, env, tol = loaded
-    theory = theories.QCALC
-    targets = _targets(args, parsed)
-    if targets is None:
-        return EXIT_PARSE
-    ok = True
-    for name in targets:
-        f = _compile(parsed, env, name, theory, args, {})
-        if f is None:
-            ok = False
-            continue
-        n = normalization_scalar(f).value
-        cls = theories.canonical_rep(f, tol)
-        print(f"{name}: N={n!r} zero={cls.is_zero_class(tol)}")
-        _print_process(f"{name} canonical", cls.canonical, tol)
-    return EXIT_OK if ok else EXIT_TYPECHECK
+    return _each_diagram(args, theories.QCALC, _print_quotient)
 
 
 def _at_least(low, convert):

@@ -69,6 +69,7 @@ __all__ = [
     "ContractionPlan",
     "plan",
     "random_plan",
+    "close",
     "evaluate",
 ]
 
@@ -115,6 +116,11 @@ _NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
 _BLANKS = r"[ \t\r\n]*"
 _ENTRY = rf"(?:([+-]){_BLANKS})?({_NUM})(?:(i)|{_BLANKS}([+-]){_BLANKS}({_NUM})i)?"
 ENTRY = re.compile(_ENTRY, re.ASCII)
+# The same entry for CHOI, capture-free and possessive: backtracking never helps here (no digit
+# follows a number, a failed ``, entry`` ends the list), so it accepts the same text.
+_NUM_ONCE = r"\d++(?:\.\d*+)?+(?:[eE][+-]?+\d++)?+"
+_BLANKS_ONCE = r"[ \t\r\n]*+"
+_ENTRY_ONCE = rf"(?:[+-]{_BLANKS_ONCE})?+{_NUM_ONCE}(?>i|{_BLANKS_ONCE}[+-]{_BLANKS_ONCE}{_NUM_ONCE}i)?+"
 
 
 def entry_value(sign, number, imag, sign2, number2):
@@ -173,7 +179,8 @@ def _port(p):
 def _token_pattern(statements):
     return re.compile(
         rf"""{_SP}(?:
-          (?P<CHOI>choi{_SP}\[{_BLANKS}(?:{_ENTRY}(?:{_BLANKS},{_BLANKS}{_ENTRY})*{_BLANKS})?\])
+          (?P<CHOI>choi{_SP}\[{_BLANKS_ONCE}
+            (?:{_ENTRY_ONCE}(?:{_BLANKS_ONCE},{_BLANKS_ONCE}{_ENTRY_ONCE})*+{_BLANKS_ONCE})?+\])
         {statements}
         | (?P<IDENT>{_NAME})
         | (?P<NUMBER>{_NUM})(?P<IMAG>i)?
@@ -893,6 +900,21 @@ def random_plan(diagram: Diagram, rng):
 
 # ---------------------------------------------------------------------------
 # Evaluation
+
+def close(diagram: Diagram, side):
+    """A typechecked ``diagram`` with each ``bound.<side>[k]`` wired into the ``discard``
+    (outputs) or fed by the ``noise`` (inputs) of its factor, and the processes of the new
+    nodes' boxes by name; these names hold ``~``, which no parsed name does."""
+    nodes, wires, boxes = dict(diagram.nodes), list(diagram.wires), {}
+    for k, w in diagram.wiring.bound[side]:
+        (_, _, fa), (_, _, fb) = diagram.wiring.ends[w]
+        name, s = f"~{side}{k}", SystemType((fa or fb,))
+        boxes[name] = g = discard_gen(s) if side == "out" else noise_state(s)
+        nodes[name] = DiagramNode(name, name, g.input, g.output)
+        end = "a" if wires[w].a.is_boundary() else "b"
+        wires[w] = wires[w]._replace(**{end: Port(name, "in" if side == "out" else "out", 0)})
+    return Diagram(diagram.name, nodes, wires, diagram.line, diagram.col), boxes
+
 
 def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=None):
     """Contract a typechecked diagram to a single ProcessTensor.

@@ -1,9 +1,18 @@
+import dataclasses
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from proctheory import cli
+from proctheory import processes as P
+from proctheory.numerics import DEFAULT_TOL
+from proctheory.systems import Q
 
 GOOD = Path(__file__).parent / "data" / "pd" / "good"
 BAD = Path(__file__).parent / "data" / "pd" / "bad"
@@ -457,38 +466,122 @@ def test_check_unknown_theory_exit_2(tmp_path, capsys):
     assert err == f"check member mu in nope: unknown theory 'nope'; expected one of {expected}\n"
 
 
+def open_brick_text(rng, layers=6, width=4):
+    """An open brick circuit of distinct random 2-qubit channels, written as choi literals."""
+    lines, nodes, wires = ["system q = Q(2)"], [], []
+    src = [f"bound.in[{k}]" for k in range(width)]
+    gate = 0
+    for layer in range(layers):
+        for top in range(layer % 2, width - 1, 2):
+            choi = P.random_cptp(rng, Q(2) * Q(2), Q(2) * Q(2)).choi
+            lines.append(f"box g{gate} : q * q -> q * q = choi [{', '.join(map(cli._fmt_complex, choi.flat))}]")
+            nodes.append(f"  node n{gate}: g{gate}")
+            wires += [f"  wire {src[top]} -> n{gate}.in[0]", f"  wire {src[top + 1]} -> n{gate}.in[1]"]
+            src[top], src[top + 1] = f"n{gate}.out[0]", f"n{gate}.out[1]"
+            gate += 1
+    wires += [f"  wire {src[k]} -> bound.out[{k}]" for k in range(width)]
+    return "\n".join(lines + ["diagram Brick {"] + nodes + wires + ["}"])
+
+
+LAW_PREDICATES = {"causal": P.is_causal, "retrocausal": P.preserves_identity, "unital": P.preserves_max_mixed}
+
+
+@pytest.mark.parametrize("tol_eq", [None, 1e-3])
+@pytest.mark.parametrize("law", LAW_PREDICATES)
+def test_law_verdicts_on_closed_diagrams_match_the_process_predicates(law, tol_eq, tmp_path, capsys,
+                                                                     monkeypatch):
+    """A file whose directives are all one law evaluates each diagram closed; every verdict is
+    the predicate's on the full process, under the same tolerance."""
+    monkeypatch.delenv("PROCTHEORY_TOL_EQ", raising=False)
+    tol = dataclasses.replace(DEFAULT_TOL, eq_rel=tol_eq or DEFAULT_TOL.eq_rel)
+    flags = [] if tol_eq is None else ["--tol-eq", tol_eq]
+    texts = [path.read_text() for path in sorted(GOOD.glob("*.pd"))] + [NEAR_FILE]
+    texts += [open_brick_text(np.random.default_rng(seed)) for seed in (777, 9)]
+    verdicts = []
+    for k, text in enumerate(texts):
+        source = "".join(line + "\n" for line in text.splitlines() if not line.startswith("check"))
+        parsed = cli.dlang.parse(source)
+        env = cli.dlang.build_env(parsed)
+        expected = ""
+        for name, diagram in parsed.diagrams.items():
+            source += f"check {law} {name} in qcalc\n"
+            verdicts.append(LAW_PREDICATES[law](cli.dlang.evaluate(diagram, env), tol))
+            expected += f"check {law} {name} in qcalc: {'pass' if verdicts[-1] else 'fail'}\n"
+        path = tmp_path / f"{k}.pd"
+        path.write_text(source)
+        assert run(capsys, "check", path, *flags) == (1 if "fail" in expected else 0, expected, ""), k
+    assert len(verdicts) == 17 and True in verdicts and False in verdicts
+
+
+def test_causal_check_on_a_wide_state_never_builds_its_choi_operator(tmp_path):
+    """20 maxmix wires: the full Choi operator has 2**40 entries, the closed diagram is a
+    scalar. Run under a 2 GiB address-space limit, so a full evaluation fails instead of paging."""
+    n = 20
+    path = tmp_path / "wide.pd"
+    path.write_text("system q = Q(2)\nbox m : -> q = maxmix\ndiagram S {\n"
+                    + "".join(f"  node a{k}: m\n" for k in range(n))
+                    + "".join(f"  wire a{k}.out[0] -> bound.out[{k}]\n" for k in range(n))
+                    + "}\ncheck causal S in qphys\n")
+    limit = 2 << 30
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "proctheory.cli", "check", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "check causal S in qphys: pass\n", "")
+
+
 # A check file naming one diagram in several directives: each diagram is typechecked once per
 # wiring capability (qphys has no caps, qcalc has) and evaluated once, and a failed typecheck is
-# reported for every directive it fails.
+# reported for every directive it fails. A diagram whose directives are all laws on one side is
+# evaluated closed on that side; any other is evaluated in full.
 RULE_I_CHECKS = (
     (BAD / "bad_rule_i.pd").read_text()
     + "check causal OutOut in qphys\ncheck member OutOut in qphys\n"
     + "check causal OutOut in qcalc\ncheck member OutOut in qcalc\n"
 )
 RULE_I_VIOLATION = "7:5: i: wire a.out[0] -> b.out[0] connects two outputs; the theory has no caps"
+IN_LAWS = (GOOD / "identity_boxes.pd").read_text().replace("check causal Plain in qphys\n", "")
 CHECK_ONCE_ROWS = [
-    ((GOOD / "dephasing_unital.pd").read_text(), 1, 1, 0,
+    ((GOOD / "dephasing_unital.pd").read_text(), 1, (1, 0), 0,
      "check causal Deph in qphys: pass\ncheck unital Deph in qphys-unital: pass\n"
      "check member Deph in qphys-unital: pass\n", []),
-    (RULE_I_CHECKS, 2, 1, 1,
+    (RULE_I_CHECKS, 2, (1, 0), 1,
      "check causal OutOut in qcalc: fail\ncheck member OutOut in qcalc: pass\n", [RULE_I_VIOLATION] * 2),
+    ((GOOD / "bell_state.pd").read_text(), 1, (0, 1), 0, "check causal Bell in qphys: pass\n", []),
+    ((GOOD / "snake.pd").read_text(), 1, (1, 0), 0,
+     "check causal Snake in qcalc: pass\ncheck retrocausal Snake in qcalc: pass\n", []),
+    (IN_LAWS, 2, (0, 1), 0,
+     "check retrocausal Plain in qcalc: pass\ncheck unital Plain in qphys-unital: pass\n", []),
 ]
 
 
 @pytest.mark.parametrize("source, typechecks, evaluations, code, out, violations", CHECK_ONCE_ROWS,
-                         ids=["dephasing_unital", "rule_i_with_and_without_caps"])
+                         ids=["dephasing_unital", "rule_i_with_and_without_caps", "causal_only",
+                              "snake_laws_on_both_sides", "input_side_laws"])
 def test_check_compiles_each_diagram_once(source, typechecks, evaluations, code, out, violations,
                                           tmp_path, capsys, monkeypatch):
+    """``evaluations`` counts (full, closed) evaluations."""
     path = tmp_path / "checks.pd"
     path.write_text(source)
-    calls = {"typecheck": 0, "evaluate": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(cli.dlang, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(cli.dlang, name, counted)
+    calls = {"typecheck": 0, "full": 0, "closed": 0}
+    closed = []
+
+    def typecheck(*args, _real=cli.dlang.typecheck, **kwargs):
+        calls["typecheck"] += 1
+        return _real(*args, **kwargs)
+
+    def close(*args, _real=cli.dlang.close, **kwargs):
+        closed.append(_real(*args, **kwargs))
+        return closed[-1]
+
+    def evaluate(diagram, *args, _real=cli.dlang.evaluate, **kwargs):
+        calls["closed" if any(diagram is d for d, _ in closed) else "full"] += 1
+        return _real(diagram, *args, **kwargs)
+
+    for fn in (typecheck, close, evaluate):
+        monkeypatch.setattr(cli.dlang, fn.__name__, fn)
     assert run(capsys, "check", path) == (code, out, "".join(f"{path}:{v}\n" for v in violations))
-    assert calls == {"typecheck": typechecks, "evaluate": evaluations}
+    assert calls == {"typecheck": typechecks, "full": evaluations[0], "closed": evaluations[1]}
 
 
 # a dual leg into an up-oriented port: wrong only under --strict-orientation

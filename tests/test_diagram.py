@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from proctheory import diagram as D
 from proctheory import processes as P
-from proctheory.numerics import Tolerances
+from proctheory.numerics import Tolerances, partial_trace
 from proctheory.systems import C, Q
 
 GOOD = Path(__file__).parent / "data" / "pd" / "good"
@@ -724,6 +724,57 @@ def test_good_corpus_typechecks_and_evaluates():
             D.evaluate(dg, env)
 
 
+def open_brick(rng, layers=6, width=4):
+    """A brick pattern of distinct random 2-qubit channels from ``bound.in`` to ``bound.out``
+    on ``width`` Q(2) lines, and the env binding them."""
+    lines, nodes, wires = ["system q = Q(2)"], [], []
+    src = [f"bound.in[{k}]" for k in range(width)]
+    gate = 0
+    for layer in range(layers):
+        for top in range(layer % 2, width - 1, 2):
+            lines.append(f"box g{gate} : q * q -> q * q = id")
+            nodes.append(f"  node n{gate}: g{gate}")
+            wires += [f"  wire {src[top]} -> n{gate}.in[0]", f"  wire {src[top + 1]} -> n{gate}.in[1]"]
+            src[top], src[top + 1] = f"n{gate}.out[0]", f"n{gate}.out[1]"
+            gate += 1
+    wires += [f"  wire {src[k]} -> bound.out[{k}]" for k in range(width)]
+    pf = D.parse("\n".join(lines + ["diagram Brick {"] + nodes + wires + ["}"]))
+    env = {f"g{k}": P.random_cptp(rng, Q(2) * Q(2), Q(2) * Q(2)) for k in range(gate)}
+    return pf.diagrams["Brick"], env
+
+
+def closing_cases():
+    """(label, diagram, env) for every good-corpus diagram and two open brick circuits."""
+    for path in sorted(GOOD.glob("*.pd")):
+        pf = D.parse_file(path)
+        env = D.build_env(pf)
+        for name, dg in pf.diagrams.items():
+            yield f"{path.name}:{name}", dg, env
+    for seed in (777, 9):
+        yield f"brick seed {seed}", *open_brick(np.random.default_rng(seed))
+
+
+def test_closed_diagram_is_the_partial_trace_of_the_full_value():
+    """Discarding the outputs traces them out; feeding noise to the inputs traces out the
+    inputs. ``close`` leaves the original diagram as it was."""
+    seen = 0
+    for label, dg, env in closing_cases():
+        full = D.evaluate(dg, env)
+        nodes, wires = list(dg.nodes), list(dg.wires)
+        for side, keep, kept in (("out", 0, full.input), ("in", 1, full.output)):
+            closed, boxes = D.close(dg, side)
+            assert set(boxes).isdisjoint(env) and set(boxes).isdisjoint(dg.nodes), label
+            assert closed.wiring.bound[side] == [] and D.typecheck(closed, compact=True) == [], label
+            value = D.evaluate(closed, {**env, **boxes})
+            assert value.input.is_trivial() or value.output.is_trivial(), label
+            assert (value.input * value.output).same_carrier(kept), label
+            expected = partial_trace(full.choi, [full.din, full.dout], [keep])
+            assert np.abs(value.choi - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max()), label
+            seen += 1
+        assert (list(dg.nodes), dg.wires) == (nodes, wires), label
+    assert seen == 2 * 16
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -987,6 +1038,46 @@ choi_text = st.tuples(
 def test_one_pass_literals_match_reference_on_choi_bodies(text):
     assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text)
     assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
+
+
+# The CHOI alternative as it was written with capture groups and backtracking, kept as the
+# oracle for the capture-free, possessive one in ``D._TOKEN``.
+REF_NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+REF_BLANKS = r"[ \t\r\n]*"
+REF_ENTRY = rf"(?:([+-]){REF_BLANKS})?({REF_NUM})(?:(i)|{REF_BLANKS}([+-]){REF_BLANKS}({REF_NUM})i)?"
+REFERENCE_CHOI = re.compile(
+    rf"choi[ \t\r]*\[{REF_BLANKS}(?:{REF_ENTRY}(?:{REF_BLANKS},{REF_BLANKS}{REF_ENTRY})*{REF_BLANKS})?\]",
+    re.ASCII)
+
+
+def choi_spans(text):
+    """The span the reference CHOI pattern matches at the start of ``text``, and the span of
+    the CHOI token ``D._TOKEN`` matches there; None where either matches none."""
+    ref, new = REFERENCE_CHOI.match(text), D._TOKEN.match(text)
+    return (ref and ref.span()), (new.span("CHOI") if new.lastgroup == "CHOI" else None)
+
+
+literal_body = st.text(st.sampled_from("0123456789.eE+-i, \t\n"), max_size=30)
+
+
+@given(st.sampled_from(["choi [", "choi[", "choi \t["]), literal_body, st.sampled_from(["]", " ]x", ",]", ""]))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_possessive_choi_pattern_matches_the_reference(opening, body, closing):
+    ref, new = choi_spans(opening + body + closing)
+    assert ref == new
+
+
+# (body, whether ``choi [body]`` is one well-formed literal)
+CHOI_EDGES = [("1.e5", True), ("1e5i", True), ("1 e5", False), ("1 - 2i", True), ("1-2", False),
+              ("- 1", True), ("1 ,2", True), ("1,,2", False), ("1,", False), (".5", False), ("i", False),
+              ("1+i", False), (" \n ", True), ("", True), ("1e", False), ("1e+5", True), ("-1 +\t2.5E-3i", True)]
+
+
+@pytest.mark.parametrize("body, literal", CHOI_EDGES)
+def test_possessive_choi_pattern_on_edge_cases(body, literal):
+    text = f"choi [{body}]"
+    ref, new = choi_spans(text)
+    assert ref == new == ((0, len(text)) if literal else None)
 
 
 def test_well_formed_literal_is_one_choi_token_with_signed_zeros_kept():
