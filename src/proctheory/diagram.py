@@ -13,11 +13,12 @@ Files use the ``.pd`` extension and contain four kinds of statement::
 Ports name one wire factor each: ``node.in[k]``/``node.out[k]``, with the
 diagram's own boundary addressed as ``bound.in[k]``/``bound.out[k]``.
 Complex entries in ``choi`` literals are written ``a``, ``bi`` or ``a+bi``
-(imaginary parts carry an explicit coefficient, e.g. ``1i``). A well-formed,
+(imaginary parts carry an explicit coefficient, e.g. ``1i``); each is read as
+``complex`` reads it, so every part keeps its sign. A well-formed,
 comment-free literal lexes in one pass; any other is read token by token.
 So does a one-line, comment-free ``node X : Y`` or ``wire X.side[k] ->
-Y.side[k]`` with sides ``in``/``out`` and indices of 1 to 15 digits; a parse
-that stops at one is run again token by token, so its diagnostic is the same.
+Y.side[k]`` with sides ``in``/``out`` and indices of 1 to 15 digits. ``node``
+and ``wire`` are reserved words, so a file is lexed and parsed once.
 ``#`` starts a comment, which may hold any text; outside comments the language
 is ASCII, and any other character is a parse error. Identifiers may contain
 interior hyphens when followed by a letter, so ``qcalc-bullet`` is one token.
@@ -112,47 +113,24 @@ KIND, TEXT, VALUE, LINE, COL = range(5)
 
 # One complex entry, ``a``, ``bi`` or ``a+bi``, signed and with blanks around
 # its signs: the entry syntax of choi literals and representation files.
-_NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
-_BLANKS = r"[ \t\r\n]*"
-_ENTRY = rf"(?:([+-]){_BLANKS})?({_NUM})(?:(i)|{_BLANKS}([+-]){_BLANKS}({_NUM})i)?"
-ENTRY = re.compile(_ENTRY, re.ASCII)
-# The same entry for CHOI, capture-free and possessive: backtracking never helps here (no digit
-# follows a number, a failed ``, entry`` ends the list), so it accepts the same text.
+# Capture-free and possessive: backtracking never helps here (no digit follows
+# a number, a failed ``, entry`` ends a list), so it accepts the same text.
 _NUM_ONCE = r"\d++(?:\.\d*+)?+(?:[eE][+-]?+\d++)?+"
 _BLANKS_ONCE = r"[ \t\r\n]*+"
 _ENTRY_ONCE = rf"(?:[+-]{_BLANKS_ONCE})?+{_NUM_ONCE}(?>i|{_BLANKS_ONCE}[+-]{_BLANKS_ONCE}{_NUM_ONCE}i)?+"
-
-
-def entry_value(sign, number, imag, sign2, number2):
-    """The value of an ``ENTRY`` match's groups, signed zeros as ``parse_complex``
-    gives them: ``-0`` and ``-0i`` keep theirs, ``a+bi`` adds ``+0.0`` to both parts."""
-    if imag:
-        return complex(0.0, float(sign + number))
-    if sign2:
-        return complex(float(sign + number) + 0.0, 0.0 + float(sign2 + number2))
-    return complex(float(sign + number), 0.0)
-
+ENTRY = re.compile(_ENTRY_ONCE, re.ASCII)
 
 _TO_COMPLEX_SYNTAX = str.maketrans({" ": None, "\t": None, "\r": None, "\n": None, "i": "j"})
 
 
-def _literal_entries(body):
-    """A literal body that the CHOI pattern matched, as a complex128 array of
-    the values ``entry_value`` gives. Blanks stand only around signs and
-    commas, so dropping them joins no two numbers, and ``complex`` rounds each
-    part as ``float`` does. Only a ``-0.0`` part of an ``a+bi`` differs:
-    ``complex`` keeps it, ``entry_value`` gives ``+0.0``. Such a part is
-    written ``-0...`` or underflows from a negative exponent, so only bodies
-    holding those are searched for ``-0.0`` parts, whose entries are read again."""
-    body = body.translate(_TO_COMPLEX_SYNTAX)
-    texts = body.split(",") if body else []
-    values = np.fromiter(map(complex, texts), complex, len(texts))
-    if "-0" in body or "e-" in body or "E-" in body:
-        parts = values.view(np.float64)  # real, imag, real, imag, ...
-        negative_zero = (parts == 0) & np.signbit(parts)
-        for k in np.flatnonzero(negative_zero[0::2] | negative_zero[1::2]):
-            values[k] = entry_value(*ENTRY.fullmatch(texts[k].replace("j", "i")).groups(""))
-    return values
+def read_entries(text):
+    """Comma-separated ``ENTRY`` texts as a complex128 array. An entry's value is
+    what ``complex`` reads with blanks dropped and ``j`` for ``i``, so every part
+    keeps its sign, written or from underflow. Blanks stand only around signs and
+    commas, so dropping them joins no two numbers."""
+    text = text.translate(_TO_COMPLEX_SYNTAX)
+    texts = text.split(",") if text else []
+    return np.fromiter(map(complex, texts), complex, len(texts))
 
 
 # Blanks, then one alternative per token class, tried in order; some
@@ -160,7 +138,7 @@ def _literal_entries(body):
 # group matched names the token, so a trailing ``i`` makes a NUMBER an IMAG.
 # CHOI, a comment-free ``choi [...]`` literal with ``[`` on the line of
 # ``choi``, lexes as the IDENT ``choi`` and a CHOI token at ``[`` whose
-# value is the entries, read from the body in bulk by ``_literal_entries``;
+# value is the entries, read from the body in bulk by ``read_entries``;
 # any other literal is read token by token. NODE and WIRE, a
 # one-line ``node X : Y`` or ``wire X.side[k] -> Y.side[k]``, lex as the
 # keyword's IDENT and one token at ``X`` (text ``X``) whose value is the box
@@ -176,39 +154,31 @@ def _port(p):
     return rf"(?P<{p}>{_NAME}){_SP}\.{_SP}(?P<{p}_side>in|out){_SP}\[{_SP}(?P<{p}_index>\d{{1,15}}){_SP}\]"
 
 
-def _token_pattern(statements):
-    return re.compile(
-        rf"""{_SP}(?:
-          (?P<CHOI>choi{_SP}\[{_BLANKS_ONCE}
-            (?:{_ENTRY_ONCE}(?:{_BLANKS_ONCE},{_BLANKS_ONCE}{_ENTRY_ONCE})*+{_BLANKS_ONCE})?+\])
-        {statements}
-        | (?P<IDENT>{_NAME})
-        | (?P<NUMBER>{_NUM})(?P<IMAG>i)?
-        | (?P<PUNCT>->|[=:*()\[\]{{}},.+-])
-        | (?P<NEWLINE>(?:\#[^\n]*)?\n)
-        | (?P<EOF>(?:\#[^\n]*)?\Z)
-        | (?P<BAD>.)
-        )""",
-        re.VERBOSE | re.ASCII,
-    )
+_TOKEN = re.compile(
+    rf"""{_SP}(?:
+      (?P<CHOI>choi{_SP}\[{_BLANKS_ONCE}
+        (?:{_ENTRY_ONCE}(?:{_BLANKS_ONCE},{_BLANKS_ONCE}{_ENTRY_ONCE})*+{_BLANKS_ONCE})?+\])
+    | (?P<NODE>node[ \t\r]+(?P<node>{_NAME}){_SP}:{_SP}(?P<box>{_NAME})(?:{_SP}\n)?)
+    | (?P<WIRE>wire[ \t\r]+{_port("a")}{_SP}->{_SP}{_port("b")}(?:{_SP}\n)?)
+    | (?P<IDENT>{_NAME})
+    | (?P<NUMBER>{_NUM_ONCE})(?P<IMAG>i)?
+    | (?P<PUNCT>->|[=:*()\[\]{{}},.+-])
+    | (?P<NEWLINE>(?:\#[^\n]*)?\n)
+    | (?P<EOF>(?:\#[^\n]*)?\Z)
+    | (?P<BAD>.)
+    )""",
+    re.VERBOSE | re.ASCII,
+)
 
 
-_TOKEN = _token_pattern(rf"""
-        | (?P<NODE>node[ \t\r]+(?P<node>{_NAME}){_SP}:{_SP}(?P<box>{_NAME})(?:{_SP}\n)?)
-        | (?P<WIRE>wire[ \t\r]+{_port("a")}{_SP}->{_SP}{_port("b")}(?:{_SP}\n)?)""")
-
-
-def _lex(text, path, pattern=_TOKEN):
+def _lex(text, path):
     toks = []
     line, line_start = 1, 0
-    for m in pattern.finditer(text):
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "IDENT":
+        if kind == "IDENT" or kind == "PUNCT":
             word = m[kind]
-            toks.append((kind, word, word, line, m.start(kind) - line_start + 1))
-        elif kind == "PUNCT":
-            word = m[kind]
-            toks.append((_PUNCT[word], word, word, line, m.start(kind) - line_start + 1))
+            toks.append((_PUNCT.get(word, "IDENT"), word, word, line, m.start(kind) - line_start + 1))
         elif kind == "NEWLINE":
             line, line_start = line + 1, m.end()
         elif kind == "NODE":
@@ -230,7 +200,7 @@ def _lex(text, path, pattern=_TOKEN):
             # the CHOI token's text is the '[' it starts at, so a diagnostic there reads as before
             at = text.index("[", m.start(kind))
             toks += [("IDENT", "choi", "choi", line, m.start(kind) - line_start + 1),
-                     (kind, "[", _literal_entries(text[at + 1 : m.end() - 1]), line, at - line_start + 1)]
+                     (kind, "[", read_entries(text[at + 1 : m.end() - 1]), line, at - line_start + 1)]
             line += text.count("\n", at, m.end())
             line_start = text.rfind("\n", 0, m.end()) + 1
         else:
@@ -377,11 +347,17 @@ class ParsedFile:
 # ---------------------------------------------------------------------------
 # Parser
 
+_RESERVED = ("node", "wire")  # they start statements in a diagram, so they name nothing
+_PORT = "port (node.in[k] / bound.out[k])"
+_SECOND_NAME = re.compile(r"[^:>]*[:>][ \t\r]*")  # a NODE or WIRE's first name, its ':' or '->'
+
+
 class _Parser:
-    def __init__(self, tokens, path):
+    def __init__(self, tokens, path, text):
         self.toks = tokens
         self.pos = 0
         self.path = path
+        self.text = text  # read only to place a diagnostic inside a NODE or WIRE token
         self.names = {}  # shared namespace: name -> "system" | "box" | "diagram"
 
     def peek(self):
@@ -393,14 +369,16 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, tok, message):
-        if tok[KIND] == "NODE" or tok[KIND] == "WIRE":
-            raise _Reread(self.path, tok[LINE], tok[COL], message)
-        raise ParseError(self.path, tok[LINE], tok[COL], message)
+    def error(self, tok, message, second=False):
+        """Raise at ``tok``, or at the second name of a NODE or WIRE ``tok``."""
+        col = tok[COL]
+        if second and tok[KIND] != "IDENT":
+            col = _SECOND_NAME.match(self.text.split("\n")[tok[LINE] - 1], col - 1).end() + 1
+        raise ParseError(self.path, tok[LINE], col, message)
 
     def expect(self, kind, what=None):
         tok = self.peek()
-        if tok[KIND] != kind:
+        if tok[KIND] != kind or tok[TEXT] in _RESERVED:
             self.error(tok, f"expected {what or kind}, got {tok[TEXT]!r}")
         return self.advance()
 
@@ -526,19 +504,19 @@ class _Parser:
         if tok[KIND] != "NUMBER":
             self.error(tok, f"expected a complex entry, got {tok[TEXT]!r}")
         self.advance()
-        val = complex(sign * tok[VALUE], 0.0)
+        imag = 0.0
         if self.peek()[KIND] in ("PLUS", "MINUS"):
             s2 = -1.0 if self.advance()[KIND] == "MINUS" else 1.0
-            itok = self.expect("IMAG", "imaginary part (e.g. 2i)")
-            val += complex(0.0, s2 * itok[VALUE])
-        return val
+            imag = s2 * self.expect("IMAG", "imaginary part (e.g. 2i)")[VALUE]
+        return complex(sign * tok[VALUE], imag)
 
-    def node_ref(self, nodes, port, tok):
+    def node_ref(self, nodes, port, tok, second=False):
         if not port.is_boundary() and port.node not in nodes:
-            self.error(tok, f"undefined node reference {port.node!r}")
+            what = f"expected {_PORT}, got" if port.node in _RESERVED else "undefined node reference"
+            self.error(tok, f"{what} {port.node!r}", second)
 
     def parse_port(self, nodes):
-        tok = self.expect("IDENT", "port (node.in[k] / bound.out[k])")
+        tok = self.expect("IDENT", _PORT)
         self.expect("DOT", "'.'")
         side_tok = self.expect("IDENT", "'in' or 'out'")
         if side_tok[VALUE] not in ("in", "out"):
@@ -550,31 +528,33 @@ class _Parser:
         self.node_ref(nodes, port, tok)
         return port
 
-    # A NODE or WIRE token is read with the same checks as the tokens it
-    # stands for; one that fails them is reported by re-reading (see parse).
+    # A NODE or WIRE token is read with the same checks, in the same order, as
+    # the tokens it stands for. Its shape is fixed, so only its names can fail.
     def parse_node(self, out, nodes, diagram):
         self.advance()  # 'node'
         tok = box_tok = self.advance() if self.peek()[KIND] == "NODE" else self.expect("IDENT", "node name")
-        if tok[TEXT] == "bound":
-            self.error(tok, "'bound' is reserved for boundary ports")
+        if tok[TEXT] in {"bound", "node", "wire"}:  # a reserved word only in a NODE: expect rejects it
+            self.error(tok, "'bound' is reserved for boundary ports" if tok[TEXT] == "bound"
+                       else f"expected node name, got {tok[TEXT]!r}")
         if tok[TEXT] in nodes:
             self.error(tok, f"duplicate identifier {tok[TEXT]!r} in diagram {diagram!r}")
         if tok[KIND] == "IDENT":  # else a NODE, whose value is its box
             self.expect("COLON", "':'")
             box_tok = self.expect("IDENT", "box name")
-        if box_tok[VALUE] not in out.boxes:
-            self.error(box_tok, f"undefined box reference {box_tok[VALUE]!r}")
-        decl = out.boxes[box_tok[VALUE]]
-        nodes[tok[TEXT]] = DiagramNode(tok[TEXT], box_tok[VALUE], decl.s_in, decl.s_out, tok[LINE], tok[COL])
+        box = box_tok[VALUE]
+        if box not in out.boxes:
+            what = "expected box name, got" if box in _RESERVED else "undefined box reference"
+            self.error(box_tok, f"{what} {box!r}", second=True)
+        decl = out.boxes[box]
+        nodes[tok[TEXT]] = DiagramNode(tok[TEXT], box, decl.s_in, decl.s_out, tok[LINE], tok[COL])
 
     def parse_wire(self, nodes):
         wtok = self.advance()  # 'wire'
-        tok = self.peek()
-        if tok[KIND] == "WIRE":
-            self.advance()
+        if self.peek()[KIND] == "WIRE":
+            tok = self.advance()
             a, b = tok[VALUE]
             self.node_ref(nodes, a, tok)
-            self.node_ref(nodes, b, tok)
+            self.node_ref(nodes, b, tok, True)
         else:
             a = self.parse_port(nodes)
             self.expect("ARROW", "'->'")
@@ -609,17 +589,9 @@ class _Parser:
         )
 
 
-class _Reread(ParseError):
-    """The parser stopped at a NODE or WIRE token, so the tokens it stands for
-    must be read one by one: they may parse on, or fail with another message."""
-
-
 def parse(text, path="<string>"):
     """Parse `.pd` source text into declarations and diagrams."""
-    try:
-        return _Parser(_lex(text, path), path).parse_file()
-    except _Reread:  # without NODE and WIRE; re caches the compiled pattern
-        return _Parser(_lex(text, path, _token_pattern("")), path).parse_file()
+    return _Parser(_lex(text, path), path, text).parse_file()
 
 
 def parse_file(path):

@@ -17,14 +17,13 @@ no-signalling in both directions.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
-from .diagram import ENTRY, entry_value
+from .diagram import ENTRY, read_entries
 from .numerics import (
     DEFAULT_TOL, Tolerances, as_matrix, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
 )
@@ -413,11 +412,10 @@ def qpart_membership(
 
 def _matrix_entry(tok):
     """One entry in the ``.pd`` entry syntax (``a``, ``bi`` or ``a+bi``), finite."""
-    m = ENTRY.fullmatch(tok)
-    if m is None:
+    if ENTRY.fullmatch(tok) is None:
         raise ValueError(f"bad matrix entry {tok!r}")
-    value = entry_value(*m.groups(""))
-    if not cmath.isfinite(value):
+    (value,) = read_entries(tok)
+    if not np.isfinite(value):
         raise ValueError(f"matrix entry {tok} is not finite")
     return value
 

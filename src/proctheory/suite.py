@@ -143,7 +143,7 @@ def _collapse_residual(d):
 
 def _collapse_witness(rng, dims, tol):
     shortfall = max((0.4 - _collapse_residual(d) for d in dims if d >= 2), default=0.0)
-    return max(_collapse_residual(1), shortfall), len(dims) + 1
+    return max(_collapse_residual(1), shortfall), 1 + sum(d >= 2 for d in dims)
 
 
 def _snakes(rng, dims, tol):

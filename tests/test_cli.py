@@ -365,6 +365,10 @@ BAD_SOURCES = [
     ("eval", IDENTITY + "  wire a.out[1.5] -> a.in[0]\n}\n", "5:14: parse: expected integer port index, got 1.5"),
     ("quotient", IDENTITY + "  wire a.out[0] -> a.in[1e999]\n}\n",
      "5:25: parse: expected integer port index, got 1e999"),
+    # node and wire are reserved words, so they name no box or diagram
+    *[(command, source, diagnostic) for command in ("parse", "eval", "check") for source, diagnostic in (
+        ("system q = Q(2)\nbox wire : q -> q = id\n", "2:5: parse: expected box name, got 'wire'"),
+        ("box b : -> = discard\ndiagram node {}\n", "2:9: parse: expected diagram name, got 'node'"))],
     # integers are exact past 2**53: once read as 9007199254740992 and 100000000000000000000
     ("eval", "system q = Q(9007199254740993)\nbox b : -> q = choi [1]\n",
      "2:5: semantic: choi literal for 'b' needs 81129638414606699710187514626049 entries "

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proctheory import diagram as D
+from proctheory import groups as G
 from proctheory import processes as P
 from proctheory.numerics import Tolerances, partial_trace
 from proctheory.systems import C, Q
@@ -884,7 +885,7 @@ def literal_run(toks, k):
         return None, k
     eof = Token("EOF", "", None, 0, 0)
     try:
-        pf = D._Parser(BOX_PREFIX + list(toks[k : end + 1]) + [eof], "f.pd").parse_file()
+        pf = D._Parser(BOX_PREFIX + list(toks[k : end + 1]) + [eof], "f.pd", "").parse_file()
     except D.ParseError:
         return None, k
     return pf.boxes["b"].choi_entries, end + 1
@@ -953,7 +954,7 @@ def lex_outcome(lex, text):
 def reference_parse(text):
     """The parser as it was before CHOI tokens: reference_lex emits none, so
     every literal is read token by token."""
-    return D._Parser(reference_lex(text, "f.pd"), "f.pd").parse_file()
+    return D._Parser(reference_lex(text, "f.pd"), "f.pd", text).parse_file()
 
 
 def parse_outcome(parse, text):
@@ -1065,6 +1066,8 @@ literal_body = st.text(st.sampled_from("0123456789.eE+-i, \t\n"), max_size=30)
 def test_possessive_choi_pattern_matches_the_reference(opening, body, closing):
     ref, new = choi_spans(opening + body + closing)
     assert ref == new
+    # ENTRY, which representation files use, accepts one entry as the capturing pattern did
+    assert (D.ENTRY.fullmatch(body) is None) == (re.fullmatch(REF_ENTRY, body, re.ASCII) is None)
 
 
 # (body, whether ``choi [body]`` is one well-formed literal)
@@ -1080,12 +1083,28 @@ def test_possessive_choi_pattern_on_edge_cases(body, literal):
     assert ref == new == ((0, len(text)) if literal else None)
 
 
+def complex_bits(entries):
+    """The bits ``complex`` reads from each entry text, blanks dropped and ``j`` for ``i``."""
+    return entry_bits(complex(re.sub(r"[ \t\r\n]", "", e).replace("i", "j")) for e in entries)
+
+
+def bits_on_each_path(entries):
+    """Each entry's bits as a one-pass literal, a token-by-token literal (``reference_parse``
+    makes no CHOI token) and a representation file (blanks dropped, one entry per file) read it."""
+    text = "box b : -> = choi [" + ", ".join(entries) + "]"
+    reps = [G.parse_representation("1 0 0 1 " + re.sub(r"[ \t\r\n]", "", e))[1][0][0, 0] for e in entries]
+    return [entry_bits(parse_new(text).boxes["b"].choi_entries),
+            entry_bits(reference_parse(text).boxes["b"].choi_entries), entry_bits(reps)]
+
+
 def test_well_formed_literal_is_one_choi_token_with_signed_zeros_kept():
     toks = lex_tokens("box b : -> = choi [-0, -0i, -0+0i, 0-0i, - 1,\n 1 +\n2i, 2.5e+2i]  x")
     ident, choi, x = toks[-4:-1]
     assert (tuple(ident), choi[:2], choi[3:]) == (("IDENT", "choi", "choi", 1, 14), ("CHOI", "["), (1, 19))
-    assert entry_bits(choi.value) == entry_bits([complex(-0.0, 0.0), complex(0.0, -0.0), 0j, 0j, -1 + 0j,
-                                                 1 + 2j, 250j])
+    entries = ["-0", "-0i", "-0+0i", "0-0i", "- 1", "1 +\n2i", "2.5e+2i"]
+    assert entry_bits(choi.value) == complex_bits(entries) == entry_bits(
+        [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), -1 + 0j, 1 + 2j, 250j])
+    assert bits_on_each_path(entries) == [complex_bits(entries)] * 3
     assert (x.kind, x.line, x.col) == ("IDENT", 3, 15)
 
 
@@ -1095,14 +1114,18 @@ SIGNED_ZERO_ENTRIES = ["-0", "-0i", "-0+0i", "0-0i", "-0-0i", "- 0", "-\n0i", " 
                        "-0 - 0i", "1 -\n1e-999i", "-1E-400 + 2i"]
 
 
+def long_literal_entries(n=256):
+    """``n`` entries: a signed-zero form at every fifth index, cycling through
+    ``SIGNED_ZERO_ENTRIES``, and a distinct nonzero ``a+bi`` everywhere else, so
+    an entry read at a wrong index shows."""
+    return [SIGNED_ZERO_ENTRIES[(k // 5) % len(SIGNED_ZERO_ENTRIES)] if k % 5 == 2
+            else f"{k}.5 {'-+'[k % 2]}\n{k + 1}e-3i" for k in range(n)]
+
+
 def long_literal_text(n=256):
-    """A box whose ``choi`` literal holds ``n`` entries: a signed-zero form at
-    every fifth index, cycling through ``SIGNED_ZERO_ENTRIES``, and a distinct
-    nonzero ``a+bi`` everywhere else, so an entry read at a wrong index shows."""
-    entries = [SIGNED_ZERO_ENTRIES[(k // 5) % len(SIGNED_ZERO_ENTRIES)] if k % 5 == 2
-               else f"{k}.5 {'-+'[k % 2]}\n{k + 1}e-3i" for k in range(n)]
+    """A box whose ``choi`` literal holds ``long_literal_entries(n)``."""
     return "box b : -> Q(16) = choi [" + "".join(
-        entry + (", " if k % 3 else ",\n") for k, entry in enumerate(entries))[:-2] + "]\n"
+        entry + (", " if k % 3 else ",\n") for k, entry in enumerate(long_literal_entries(n)))[:-2] + "]\n"
 
 
 def test_long_literal_keeps_each_signed_zero_at_its_index():
@@ -1111,19 +1134,24 @@ def test_long_literal_keeps_each_signed_zero_at_its_index():
     assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
     (choi,) = [tok for tok in lex_tokens(text) if tok.kind == "CHOI"]
     assert (choi.value.dtype, choi.value.shape) == (np.complex128, (256,))
-    # the reference reads a zero part of ``a+bi`` as +0.0, so only the plain forms keep a sign
-    plain_zeros = [complex(-0.0, 0.0), complex(0.0, -0.0)] * 2
-    assert entry_bits(choi.value[[2, 7, 27, 32, 52, 57, 232, 237, 242, 247]]) == entry_bits(
-        plain_zeros + [1 + 0j, 2j, 1 + 0j, 2j] + plain_zeros[:2])
+    assert entry_bits(choi.value) == complex_bits(long_literal_entries())
+    # each part keeps its sign, written or from underflow, in ``a+bi`` as in the plain forms
+    zeros = [complex(-0.0, 0.0), complex(0.0, -0.0)] * 2
+    underflows = [complex(1.0, -0.0), complex(-0.0, 2.0)] * 2
+    assert entry_bits(choi.value[[2, 7, 12, 17, 27, 32, 52, 57, 232, 237, 242, 247]]) == entry_bits(
+        zeros + zeros[:2] + underflows + zeros[:2])
+    assert bits_on_each_path(SIGNED_ZERO_ENTRIES) == [complex_bits(SIGNED_ZERO_ENTRIES)] * 3
 
 
 def test_parts_that_underflow_follow_the_signed_zero_rule():
     # no "-0" is written, yet a part of each entry underflows to -0.0
-    text = "box b : -> = choi [1 -\n1e-999i, -1E-400 + 2i, -1e-999, -1e-999i]"
+    entries = ["1 -\n1e-999i", "-1E-400 + 2i", "-1e-999", "-1e-999i"]
+    text = "box b : -> = choi [" + ", ".join(entries) + "]"
     assert lex_outcome(D._lex, text) == lex_outcome(reference_lex, text)
     assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text)
-    assert entry_bits(parse_new(text).boxes["b"].choi_entries) == entry_bits(
-        [1 + 0j, 2j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    assert entry_bits(parse_new(text).boxes["b"].choi_entries) == complex_bits(entries) == entry_bits(
+        [complex(1.0, -0.0), complex(-0.0, 2.0), complex(-0.0, 0.0), complex(0.0, -0.0)])
+    assert bits_on_each_path(entries) == [complex_bits(entries)] * 3
 
 
 def test_choi_entries_are_a_complex128_array_on_both_paths():
@@ -1152,13 +1180,14 @@ def test_long_literal_missing_its_bracket_keeps_the_diagnostic():
 
 # Node and wire statements, one-match and not: newlines and comments inside,
 # blanks between all tokens, indices that are not 1 to 15 digits, unknown
-# sides, 'bound' and 'wire' as names, a duplicate node, an undefined box, an
-# undefined node on either side; after the places of CHOI_PLACES, in a diagram,
-# and where ``node``/``wire`` is read as a name.
-STATEMENT_HEADER = "system q = Q(1)\nbox e : q -> q = id\nbox wire : q -> q = id\n"
-NODE_LINES = ["node n : e", "node m:e", "node k \t: wire", "node wire : wire", "node n :e", "node y-x : e",
-              "node\n o : e", "node p :\n e", "node r : e # c", "node s # c\n: e", "node bound : e", "node t : ghost",
-              "node u : choi [1]", "node v", "node : e", "node 1n : e", "node x : e-1", "node z : e . x"]
+# sides, 'bound' as a name and the reserved 'node' and 'wire' as names, a
+# duplicate node, an undefined box, an undefined node on either side; after the
+# places of CHOI_PLACES, in a diagram, and where ``node``/``wire`` is read as a name.
+STATEMENT_HEADER = "system q = Q(1)\nbox e : q -> q = id\nbox w : q -> q = id\n"
+NODE_LINES = ["node n : e", "node m:e", "node j \t: w", "node k \t: wire", "node wire : wire", "node n :e",
+              "node y-x : e", "node\n o : e", "node p :\n e", "node r : e # c", "node s # c\n: e", "node bound : e",
+              "node t : ghost", "node u : choi [1]", "node v", "node : e", "node 1n : e", "node x : e-1",
+              "node z : e . x"]
 WIRE_LINES = ["wire n.out[0] -> m.in[0]", "wire bound.in[0]->n.in[0]", "wire m . out [ 0 ] -> bound . out [ 0 ]",
               "wire\tn.out[1] -> m.in[1]", "wire ghost.out[0] -> n.in[0]", "wire n.out[0] -> ghost.in[0]",
               "wire wire.out[0] -> node.in[0]", "wire\n n.out[0] -> m.in[0]", "wire a.out[0] ->\n b.in[0]",
@@ -1168,7 +1197,7 @@ WIRE_LINES = ["wire n.out[0] -> m.in[0]", "wire bound.in[0]->n.in[0]", "wire m .
               "wire n.out[0] # c\n-> m.in[0]", "wire n.out[0] -> m.in[0] # c", "wire n.out[0] -> m.in[0] -> x",
               "node k : e"]
 STATEMENT_PLACES = CHOI_PLACES + ["diagram D {\n", "diagram D { node n : e\n", "check ", "check causal D in ",
-                                  "system node = Q(1)\nsystem r = "]
+                                  "system node = Q(1)\nsystem r = ", "box wire : q -> q = id\ndiagram D {\n"]
 statement_text = st.tuples(
     st.sampled_from(STATEMENT_PLACES), st.lists(st.sampled_from(NODE_LINES), max_size=4, unique=True),
     st.lists(st.sampled_from(WIRE_LINES), max_size=4), st.sampled_from(["\n", " ", "\n  ", " # c\n"]),
@@ -1206,26 +1235,48 @@ def test_diagnostic_after_one_match_statements_keeps_its_place():
     assert parse_outcome(reference_parse, text) == str(exc.value)
 
 
-# A one-match statement that fails a check, or whose keyword is read as a
-# name, is reported as the tokens it stands for are: the text is read again.
-REREAD = [
+# A one-match statement that fails a check is reported where the tokens it
+# stands for would be, with no second reading of the text; ``node`` and
+# ``wire`` are reserved, so one read where a name stands fails at the keyword.
+DIRECT = [
     ("diagram D {\n node n : e\n node n : e\n}", "6:7: parse: duplicate identifier 'n' in diagram 'D'"),
     ("diagram D {\n node bound : e\n}", "5:7: parse: 'bound' is reserved for boundary ports"),
     ("diagram D {\n node n : ghost\n}", "5:11: parse: undefined box reference 'ghost'"),
     ("diagram D {\n node n : e\n wire ghost.out[0] -> n.in[0]\n}", "6:7: parse: undefined node reference 'ghost'"),
     ("diagram D {\n node n : e\n wire n.out[0] -> ghost.in[0]\n}", "6:19: parse: undefined node reference 'ghost'"),
-    ("check node a : b in qphys", "4:12: parse: undefined reference 'a'"),
-    ("diagram a {}\ncheck node a : b in qphys", "5:14: parse: expected 'in', got ':'"),
-    ("check causal e in node a : e\n", "4:24: parse: expected system/box/diagram/check, got 'a'"),
-    ("check wire a.out[0] -> b.in[0]", "4:12: parse: undefined reference 'a'"),
+    ("diagram D {\n node wire : e\n}", "5:7: parse: expected node name, got 'wire'"),
+    ("diagram D {\n node n :\tnode\n}", "5:11: parse: expected box name, got 'node'"),
+    ("diagram D {\n node n : e\n wire node.out[0] -> n.in[0]\n}",
+     "6:7: parse: expected port (node.in[k] / bound.out[k]), got 'node'"),
+    ("diagram D {\n node n : e\n wire n . out [0]->  wire.in[0]\n}",
+     "6:22: parse: expected port (node.in[k] / bound.out[k]), got 'wire'"),
+    ("check node a : b in qphys", "4:7: parse: expected property name, got 'node'"),
+    ("diagram a {}\ncheck node a : b in qphys", "5:7: parse: expected property name, got 'node'"),
+    ("check causal e in node a : e\n", "4:19: parse: expected theory name, got 'node'"),
+    ("check wire a.out[0] -> b.in[0]", "4:7: parse: expected property name, got 'wire'"),
 ]
 
 
-@pytest.mark.parametrize("text, diagnostic", REREAD)
+@pytest.mark.parametrize("text, diagnostic", DIRECT)
 def test_statement_failing_at_its_token_is_reread(text, diagnostic):
+    """Its diagnostic is the one a token-by-token reading (``reference_parse``) gives."""
     text = STATEMENT_HEADER + text
     assert {"NODE", "WIRE"} & {t.kind for t in lex_tokens(text)}
     assert parse_outcome(parse_new, text) == parse_outcome(reference_parse, text) == f"f.pd:{diagnostic}"
+
+
+@pytest.mark.parametrize("text", [pytest.param(STATEMENT_HEADER + text, id=f"direct{k}")
+                                  for k, (text, _) in enumerate(DIRECT)]
+                         + [pytest.param(path.read_text(), id=path.name) for path in sorted(BAD.glob("*.pd"))])
+def test_parse_lexes_once(text, monkeypatch):
+    calls = []
+    lex = D._lex
+    monkeypatch.setattr(D, "_lex", lambda *args: calls.append(args) or lex(*args))
+    try:
+        D.parse(text, "f.pd")
+    except D.ParseError:
+        pass
+    assert len(calls) == 1
 
 
 PD_FRAGMENTS = ["system q = ", "Q(2)", "C(3)", "Q(", "dual(", ")", " * ", "box b : ", " -> ", " = ",

@@ -26,7 +26,7 @@ def test_trials_column():
         return [r.trials for r in suite.run_all(seed=42, dims=dims, trials=trials)]
 
     assert column((2, 3), 100) == [100, 100, 1, 3, 16, 4, 100, 50, 100, 100, 100, 50, 20, 2]
-    assert column((1, 2), 7) == [7, 7, 1, 3, 16, 4, 7, 7, 7, 7, 7, 7, 7, 2]
+    assert column((1, 2), 7) == [7, 7, 1, 2, 16, 4, 7, 7, 7, 7, 7, 7, 7, 2]
 
 
 @pytest.mark.parametrize("seed, dims, trials", [(3, (2, 3), 12), (11, (1, 2), 5)])
