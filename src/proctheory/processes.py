@@ -12,10 +12,11 @@ their Choi tensors. Classical wires are decohered quantum wires: every Choi
 operator is diagonal in the classical indices (a checkable invariant that
 all constructors and compositions preserve).
 
-Validity is checked where data enters, by ``ProcessTensor(...)``. The
-constant generators (identity matrices or a decohered V V^dag), and wirings
-and nonnegative rescalings of valid processes (the link product of positive
-operators is positive), are built by the shape-only ``ProcessTensor._trusted``.
+Validity is checked where data enters, by ``ProcessTensor(...)``. What is
+positive by construction is built by the shape-only ``ProcessTensor._trusted``:
+identity matrices, a decohered V V^dag (positive for every V: the constant,
+Kraus and Wishart processes), and wirings and nonnegative rescalings of valid
+processes (the link product of positive operators is positive).
 
 Trace preservation is deliberately *not* part of the type; it is one of the
 causality-flavoured predicates at the bottom of this module, so the same
@@ -306,14 +307,17 @@ def effect(e, s: SystemType, tol: Tolerances = DEFAULT_TOL):
     return ProcessTensor(s, TRIVIAL, np.asarray(e, dtype=complex).T, tol)
 
 
-def channel_from_kraus(kraus, s_in: SystemType, s_out: SystemType, tol: Tolerances = DEFAULT_TOL):
-    """Channel X -> sum_k K_k X K_k^dag."""
-    return ProcessTensor(s_in, s_out, _kraus_choi(kraus, s_in, s_out), tol)
+def channel_from_kraus(kraus, s_in: SystemType, s_out: SystemType):
+    """Channel X -> sum_k K_k X K_k^dag; V V^dag is positive, so only finiteness is checked."""
+    choi = _kraus_choi(kraus, s_in, s_out)
+    if not max_abs(choi) < np.inf:  # NaN, infinite or overflowing Kraus entries
+        raise ValueError("choi operator has non-finite entries")
+    return ProcessTensor._trusted(s_in, s_out, choi)
 
 
-def channel_from_unitary(u, s: SystemType, tol: Tolerances = DEFAULT_TOL):
+def channel_from_unitary(u, s: SystemType):
     """Conjugation channel X -> U X U^dag."""
-    return channel_from_kraus([u], s, s, tol)
+    return channel_from_kraus([u], s, s)
 
 
 def measurement_channel(povm, s_in: SystemType, s_out: SystemType, tol: Tolerances = DEFAULT_TOL):
@@ -416,7 +420,7 @@ def random_cp(rng, s_in: SystemType, s_out: SystemType):
     din, dout = s_in.total_dim, s_out.total_dim
     g = _ginibre(rng, din * dout, din * dout)
     j = _decohere(g @ mat_dagger(g), s_in, s_out)
-    return ProcessTensor(s_in, s_out, j / (din * dout))
+    return ProcessTensor._trusted(s_in, s_out, j / (din * dout))
 
 
 def random_mixture_of_unitaries(rng, s: SystemType):

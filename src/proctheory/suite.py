@@ -241,8 +241,8 @@ def _quotient_trial(rng, dims, tol, k):
     f = make(rng, Q(d1), Q(d2))
     g = make(rng, Q(d2), Q(d3))
     r, s = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
-    rf = processes.ProcessTensor(f.input, f.output, r * f.choi)
-    sg = processes.ProcessTensor(g.input, g.output, s * g.choi)
+    rf = processes.ProcessTensor._trusted(f.input, f.output, r * f.choi)
+    sg = processes.ProcessTensor._trusted(g.input, g.output, s * g.choi)
     ca = theories.canonical_rep(compose_seq(sg, rf))
     cb = theories.canonical_rep(compose_seq(g, f))
     res = _diff(ca.canonical.choi, cb.canonical.choi)
@@ -302,9 +302,7 @@ def _bullet_equivalence_trial(rng, dims, tol, k):
 def _bullet_equivalence_fixed(rng, dims, tol):
     res = 0.0
     # associativity through forced zero branches
-    for d in dims:
-        if d < 2:
-            continue
+    for d in sorted({max(d, 2) for d in dims}):
         e, rho = _zero_pair(rng, d)
         lhs = theories.bullet_compose(e, theories.bullet_compose(identity(Q(d)), rho))
         rhs = theories.bullet_compose(theories.bullet_compose(e, identity(Q(d))), rho)
@@ -358,7 +356,7 @@ _ROLES_IN, _ROLES_OUT = ("past", "a-out", "b-out"), ("a-in", "b-in", "future")
 
 def _process_matrix_trial(rng, dims, tol, k):
     d = 2
-    dm = _rand_dim(rng, (2, 3))
+    dm = _rand_dim(rng, dims)
     g1 = processes.random_cptp(rng, Q(d), Q(d) * Q(dm))
     g2 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d) * Q(dm))
     g3 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d))

@@ -16,6 +16,7 @@ representations and causal/retrocausal partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -60,13 +61,8 @@ class SystemType:
         for f in self.factors:
             if not isinstance(f, WireFactor):
                 raise TypeError(f"SystemType factors must be WireFactor, got {type(f)}")
-
-    @property
-    def total_dim(self):
-        d = 1
-        for f in self.factors:
-            d *= f.dim
-        return d
+        # not a field: equality, hashing and repr read the factors alone
+        object.__setattr__(self, "total_dim", prod(f.dim for f in self.factors))
 
     @property
     def dims(self):

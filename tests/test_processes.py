@@ -235,6 +235,13 @@ class TestKrausPath:
         f = ProcessTensor(s, TRIVIAL, np.eye(1))
         assert f.input.dims == [1] * 33 and identity(s).choi.shape == (1, 1)
 
+    def test_total_dim_is_stored_but_not_a_field(self):
+        s = Q(2) * C(3) * Q(5, DOWN)
+        assert (s.total_dim, TRIVIAL.total_dim, SystemType(s.factors).dual().total_dim) == (30, 1, 30)
+        assert [f.name for f in dataclasses.fields(SystemType)] == ["factors"]
+        assert s == Q(2) * C(3) * Q(5, DOWN) and hash(s) == hash(Q(2) * C(3) * Q(5, DOWN))
+        assert "total_dim" not in repr(s) and dataclasses.replace(s).total_dim == 30
+
     def test_classical_factor_among_many(self):
         s = SystemType((WireFactor(QUANTUM, 1),) * 40 + (WireFactor(CLASSICAL, 2),))
         assert np.array_equal(identity(s).choi, np.diag([1.0, 0.0, 0.0, 1.0]))
@@ -359,6 +366,25 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match="non-finite"):
             ProcessTensor(Q(2), Q(2), choi)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), 1e200])
+    def test_non_finite_kraus_entries_rejected(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad  # 1e200 overflows in V V^dag
+        # numpy warns inside the product; the finiteness check is what rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                channel_from_kraus([k], Q(2), Q(2))
+            with pytest.raises(ValueError, match="non-finite entries"):
+                channel_from_unitary(k, C(2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_haar_unitary_channels_construct(self, d):
+        # an eigenvalue check with psd_rel=0 rejects nearly every such channel, for rounding alone
+        rng = np.random.default_rng(100 + d)
+        for _ in range(400):
+            f = channel_from_unitary(P.random_unitary(rng, d), Q(d))
+            assert is_causal(f) and preserves_identity(f)
+
     def test_constructor_honours_callers_tolerances_without_storing_them(self):
         choi = np.diag([1.0, -1e-10]).astype(complex)  # a rounding-sized negative eigenvalue
         lenient = ProcessTensor(TRIVIAL, Q(2), choi)
@@ -376,17 +402,23 @@ class TestTrustBoundary:
         assert not f.choi.flags.writeable
 
     def test_compositions_skip_validation(self, monkeypatch):
-        rng = np.random.default_rng(70)
-        f = P.random_cptp(rng, Q(2), Q(3))
-        g = P.random_cptp(rng, Q(3), Q(2))
         calls = []
         real = ProcessTensor.__post_init__
         monkeypatch.setattr(ProcessTensor, "__post_init__", lambda self, tol: calls.append(self) or real(self, tol))
+        rng = np.random.default_rng(70)
+        # a decohered V V^dag is positive for every V: Stinespring, Wishart and Kraus forms
+        f = P.random_cptp(rng, Q(2), Q(3))
+        g = P.random_cptp(rng, Q(3), Q(2))
+        ks = [rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)) for _ in range(3)]
+        samples = [P.random_cptp(rng, C(2), Q(2) * C(2)), P.random_cp(rng, Q(2), C(3)),
+                   P.random_cp(rng, C(2) * Q(2), Q(2)), P.random_mixture_of_unitaries(rng, Q(3)),
+                   channel_from_kraus(ks, Q(2), C(2) * Q(3)), channel_from_kraus([], Q(2), C(3)),
+                   channel_from_unitary(P.random_unitary(rng, 3), Q(3))]
         s = Q(2) * C(3)
         comps = [compose_seq(g, f), compose_par(f, g), dagger_h(f),
                  # constants and noisy mixtures are valid by construction too
                  identity(s), discard(s), max_mixed(s), noise_state(s), cup(s), cap(s),
-                 swap(Q(3), C(2)), ordered_process_channel(Q(2), C(2), Q(3)), noisy(f, 0.3)]
+                 swap(Q(3), C(2)), ordered_process_channel(Q(2), C(2), Q(3)), noisy(f, 0.3), *samples]
         assert calls == []
         for c in comps:  # and each would pass validation
             ProcessTensor(c.input, c.output, c.choi)

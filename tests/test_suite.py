@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proctheory import cli, groups, suite, theories
+from proctheory import cli, groups, higher_order, suite, theories
 from proctheory.numerics import DEFAULT_TOL, Tolerances
 from proctheory.processes import ProcessTensor, compose_seq
 
@@ -46,6 +46,37 @@ def test_worst_state_replays_the_worst_trial(seed, dims, trials):
         replay = np.random.default_rng()
         replay.bit_generator.state = r.worst_state
         assert trial(replay, dims, DEFAULT_TOL, r.worst_trial) == residuals[r.worst_trial], r.name
+
+
+def test_validations_are_counted_where_data_enters(monkeypatch):
+    """Kraus, Stinespring and Wishart samples and positive rescalings are built
+    unchecked; states, effects, classical kernels and marginals are validated."""
+    calls = []
+    real = ProcessTensor.__post_init__
+    monkeypatch.setattr(ProcessTensor, "__post_init__", lambda self, tol: calls.append(self) or real(self, tol))
+    suite.run_all(42, (2, 3), 100)
+    assert len(calls) == 568
+
+
+@pytest.mark.parametrize("dims, zero_dims", [((1,), [2]), ((1, 2, 3), [2, 3]), ((3, 1), [2, 3])])
+def test_every_dims_entry_reaches_the_zero_branch_and_the_memory_wire(monkeypatch, dims, zero_dims):
+    zero, memory = [], set()
+    real_pair, real_circuit = suite._zero_pair, higher_order.circuit_form_channel
+
+    def pair(rng, d):
+        zero.append(d)
+        return real_pair(rng, d)
+
+    def circuit(g1, g2, g3):
+        memory.add(g1.output.dims[1])
+        return real_circuit(g1, g2, g3)
+
+    monkeypatch.setattr(suite, "_zero_pair", pair)
+    monkeypatch.setattr(higher_order, "circuit_form_channel", circuit)
+    reports = {r.name: r for r in suite.run_all(seed=42, dims=dims, trials=20)}
+    assert reports["bullet-quotient-equivalence"].passed and reports["process-matrix-roundtrip"].passed
+    assert zero == zero_dims
+    assert memory == set(dims)
 
 
 def test_worst_state_is_left_out_of_equality_and_repr():
