@@ -18,16 +18,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 
-import numpy as np
-
 from . import diagram as dlang
 from . import groups, suite, theories
-from .numerics import DEFAULT_TOL, mats_close, partial_trace
-from .processes import as_scalar
+from .numerics import DEFAULT_TOL
+from .processes import LAWS, as_scalar, obeys
 from .theories import THEORIES, membership, normalization_scalar, theory_by_name
 
 EXIT_OK = 0
@@ -93,21 +90,19 @@ def cmd_parse(args):
 def _compile(parsed, env, name, theory, args, memo, side=None):
     """Diagram ``name`` evaluated, or None after printing its typecheck violations under ``theory``.
 
-    With ``side``, it is the pair (Choi matrix, closed dimension) of the diagram closed on that
-    side. ``memo`` keeps each diagram's violations per wiring capability and its value, so calls
+    With ``side``, it is the diagram closed on that side, as ``dlang.evaluate_closed`` gives it.
+    ``memo`` keeps each diagram's violations per wiring capability and its value, so calls
     sharing it typecheck and evaluate a diagram once."""
-    key = (name, theory.compact)
+    key, diagram = (name, theory.compact), parsed.diagrams[name]
     if key not in memo:
-        memo[key] = dlang.typecheck(parsed.diagrams[name], compact=theory.compact,
+        memo[key] = dlang.typecheck(diagram, compact=theory.compact,
                                     strict_orientation=args.strict_orientation)
     for v in memo[key]:
         print(v.format(args.file), file=sys.stderr)
     if memo[key]:
         return None
     if name not in memo:
-        diagram, boxes = (parsed.diagrams[name], {}) if side is None else dlang.close(parsed.diagrams[name], side)
-        f = dlang.evaluate(diagram, {**env, **boxes})
-        memo[name] = f if side is None else (f.choi, math.prod(len(g.choi) for g in boxes.values()))
+        memo[name] = dlang.evaluate(diagram, env) if side is None else dlang.evaluate_closed(diagram, side, env)
     return memo[name]
 
 
@@ -145,20 +140,13 @@ def cmd_eval(args):
 # directives may also name qpart (particles/antiparticles): it wires like qcalc
 _QPART = theories.Theory("qpart", compact=True)
 _DIRECTIVE_THEORIES = {**THEORIES, _QPART.name: _QPART}
-# law -> (the side it closes, the reference the closed value must equal, given the kept and closed dims)
-_LAWS = {"causal": ("out", lambda kept, closed: np.eye(kept)),
-         "retrocausal": ("in", lambda kept, closed: np.eye(kept)),
-         "unital": ("in", lambda kept, closed: closed / kept * np.eye(kept))}
-CHECK_PROPS = (*_LAWS, "member", "intertwiner", "nosignalling")
+CHECK_PROPS = (*LAWS, "member", "intertwiner", "nosignalling")
 
 
 def _judge(prop, theory, f, rep_in, rep_out, tol):
     """``(passed, detail)`` for one check directive on ``f``, or ``(None, diagnostic)``."""
-    if prop in _LAWS:  # ``f`` is a process, closed here by a partial trace, or a closed value
-        side, reference = _LAWS[prop]
-        value, closed = f if isinstance(f, tuple) else (
-            partial_trace(f.choi, [f.din, f.dout], [side == "in"]), f.din if side == "in" else f.dout)
-        return mats_close(value, reference(len(value), closed), tol), ""
+    if prop in LAWS:  # ``f`` is a process or a diagram's (closed value, closed dimension)
+        return obeys(prop, f, tol), ""
     if prop == "nosignalling":
         verdict = groups.no_signalling(f, tol=tol)
         return verdict.ok, "" if verdict.ok else f" (signalling: {', '.join(verdict.failed_directions())})"
@@ -195,7 +183,7 @@ def cmd_check(args):
 
     sides = {}  # diagram -> the side closing it when all its directives are laws on that side
     for directive in parsed.checks:
-        side = _LAWS[directive.prop][0] if directive.prop in _LAWS else None
+        side = LAWS[directive.prop][0] if directive.prop in LAWS else None
         sides[directive.target] = side if sides.get(directive.target, side) == side else None
     all_pass, memo = True, {}
     for directive in parsed.checks:

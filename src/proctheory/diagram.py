@@ -43,6 +43,7 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +72,7 @@ __all__ = [
     "plan",
     "random_plan",
     "close",
+    "evaluate_closed",
     "evaluate",
 ]
 
@@ -886,6 +888,13 @@ def close(diagram: Diagram, side):
         end = "a" if wires[w].a.is_boundary() else "b"
         wires[w] = wires[w]._replace(**{end: Port(name, "in" if side == "out" else "out", 0)})
     return Diagram(diagram.name, nodes, wires, diagram.line, diagram.col), boxes
+
+
+def evaluate_closed(diagram: Diagram, side, env):
+    """A typechecked ``diagram`` closed on ``side`` and evaluated: the pair (Choi matrix, closed
+    dimension) that :func:`proctheory.processes.obeys` judges a law of that side on."""
+    closed, boxes = close(diagram, side)
+    return evaluate(closed, {**env, **boxes}).choi, prod(len(g.choi) for g in boxes.values())
 
 
 def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=None):

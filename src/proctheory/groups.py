@@ -27,7 +27,7 @@ from .diagram import ENTRY, read_entries
 from .numerics import (
     DEFAULT_TOL, Tolerances, as_matrix, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
 )
-from .processes import ProcessTensor, is_causal, preserves_identity
+from .processes import ProcessTensor, obeys
 from .systems import CLASSICAL, DOWN, QUANTUM, Q, SystemType
 from .theories import MembershipVerdict
 
@@ -319,17 +319,19 @@ def _sub_system(s: SystemType, flags, retro):
     return SystemType(tuple(f for f, is_r in zip(s.factors, flags) if is_r == retro))
 
 
-def _marginal(f, partition, dims, traced, eyes, retro, law, broken, tol, notes):
+def _marginal(f, partition, dims, traced, eyes, law, tol, notes):
     """One no-signalling direction: trace out ``traced``, require the rest to
     be 1 on ``eyes`` tensored with a residue, and read the residue as the
-    retro (or causal) part, which must obey ``law``.
+    retro (or causal) part, which must obey ``law``: ``retrocausal`` (or ``causal``).
 
     Returns (ok, residual, the part when ok else None); failures add notes.
     """
     keep = [i for i in range(len(dims)) if i not in traced]
     g = partial_trace(f.choi, dims, keep)
     res, mat = _matches_identity_product(g, [dims[i] for i in keep], [keep.index(i) for i in eyes], tol)
-    which = "retro" if retro else "causal"
+    retro = law == "retrocausal"
+    which, broken = (("retro", "does not preserve the noise state") if retro
+                     else ("causal", "is not trace preserving"))
     s_in = _sub_system(f.input, partition.input_retro, retro)
     s_out = _sub_system(f.output, partition.output_retro, retro)
     try:
@@ -337,7 +339,7 @@ def _marginal(f, partition, dims, traced, eyes, retro, law, broken, tol, notes):
     except ValueError as exc:
         notes.append(f"extracted {which} part is not a process: {exc}")
         return False, res, None
-    if not law(part, tol):
+    if not obeys(law, part, tol):
         notes.append(f"extracted {which} part {broken}")
         return False, res, None
     ok = res <= tol.eq_rel
@@ -365,11 +367,9 @@ def no_signalling(
     r_out = [n_in + i for i, r in enumerate(partition.output_retro) if r]
     notes = []
     # causal -> retro: discard the causal outputs, leaving 1 on the causal inputs
-    ok_cr, res_cr, fr = _marginal(f, partition, dims, c_out, c_in, True, preserves_identity,
-                                  "does not preserve the noise state", tol, notes)
+    ok_cr, res_cr, fr = _marginal(f, partition, dims, c_out, c_in, "retrocausal", tol, notes)
     # retro -> causal: noise into the retro inputs, leaving 1 on the retro outputs
-    ok_rc, res_rc, fc = _marginal(f, partition, dims, r_in, r_out, False, is_causal,
-                                  "is not trace preserving", tol, notes)
+    ok_rc, res_rc, fc = _marginal(f, partition, dims, r_in, r_out, "causal", tol, notes)
     return NoSignallingVerdict(ok_cr and ok_rc, ok_cr, ok_rc, res_cr, res_rc, fc, fr, notes)
 
 
@@ -399,10 +399,9 @@ def qpart_membership(
     checks["no-signalling-retro-causal"] = ns.retro_to_causal
     purely_causal = not any(partition.input_retro) and not any(partition.output_retro)
     purely_retro = all(partition.input_retro) and all(partition.output_retro)
-    if purely_causal and all(checks.values()):
-        checks["derived-causal"] = is_causal(f, tol)
-    if purely_retro and all(checks.values()):
-        checks["derived-retrocausal"] = preserves_identity(f, tol)
+    for law, purely in (("causal", purely_causal), ("retrocausal", purely_retro)):
+        if purely and all(checks.values()):
+            checks[f"derived-{law}"] = obeys(law, f, tol)
     reasons = [k for k, v in checks.items() if not v]
     return MembershipVerdict(not reasons, "qpart", checks, reasons, ns=ns)
 

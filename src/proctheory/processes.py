@@ -18,10 +18,12 @@ identity matrices, a decohered V V^dag (positive for every V: the constant,
 Kraus and Wishart processes), and wirings and nonnegative rescalings of valid
 processes (the link product of positive operators is positive).
 
-Trace preservation is deliberately *not* part of the type; it is one of the
-causality-flavoured predicates at the bottom of this module, so the same
+Trace preservation is deliberately *not* part of the type, so the same
 objects serve both the physical theory (CPTP maps) and the calculational
-supertheory (arbitrary CP maps, cups, caps, supernormalised states).
+supertheory (arbitrary CP maps, cups, caps, supernormalised states). It is
+a row of ``LAWS``, the one table of one-sided laws at the bottom of this
+module, which the predicates, theory ``membership``, ``no_signalling`` and
+the CLI's ``check`` all read.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ __all__ = [
     "channel_from_kraus",
     "measurement_channel",
     "classical_channel",
+    "LAWS",
+    "obeys",
     "is_causal",
     "preserves_identity",
     "preserves_max_mixed",
@@ -309,7 +313,8 @@ def effect(e, s: SystemType, tol: Tolerances = DEFAULT_TOL):
 
 def channel_from_kraus(kraus, s_in: SystemType, s_out: SystemType):
     """Channel X -> sum_k K_k X K_k^dag; V V^dag is positive, so only finiteness is checked."""
-    choi = _kraus_choi(kraus, s_in, s_out)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports these
+        choi = _kraus_choi(kraus, s_in, s_out)
     if not max_abs(choi) < np.inf:  # NaN, infinite or overflowing Kraus entries
         raise ValueError("choi operator has non-finite entries")
     return ProcessTensor._trusted(s_in, s_out, choi)
@@ -349,22 +354,36 @@ def classical_channel(kernel, s_in: SystemType, s_out: SystemType, tol: Toleranc
 
 
 # ---------------------------------------------------------------------------
-# Causality-type predicates
+# One-sided laws and causality-type predicates
+
+# law -> (the side it closes, the reference the closed value must equal, given the kept and closed dims)
+LAWS = {"causal": ("out", lambda kept, closed: np.eye(kept)),
+        "retrocausal": ("in", lambda kept, closed: np.eye(kept)),
+        "unital": ("in", lambda kept, closed: closed / kept * np.eye(kept))}
+
+
+def obeys(law, f, tol: Tolerances = DEFAULT_TOL):
+    """Does ``f`` obey ``LAWS[law]``? ``f`` is a process, closed here by a partial trace, or
+    the pair (value, closed dimension) of a diagram closed on the law's side."""
+    side, reference = LAWS[law]
+    value, closed = f if isinstance(f, tuple) else (
+        partial_trace(f.choi, [f.din, f.dout], [side == "in"]), f.din if side == "in" else f.dout)
+    return mats_close(value, reference(len(value), closed), tol)
 
 
 def is_causal(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Discard-preservation (trace preservation): discard . f = discard."""
-    return mats_close(partial_trace(f.choi, [f.din, f.dout], [0]), np.eye(f.din), tol)
+    return obeys("causal", f, tol)
 
 
 def preserves_identity(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Retrocausality constraint: f(1_in) = 1_out."""
-    return mats_close(partial_trace(f.choi, [f.din, f.dout], [1]), np.eye(f.dout), tol)
+    return obeys("retrocausal", f, tol)
 
 
 def preserves_max_mixed(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Unitality in the dimension-aware sense: f(1/din) = 1/dout."""
-    return mats_close(partial_trace(f.choi, [f.din, f.dout], [1]), f.din / f.dout * np.eye(f.dout), tol)
+    return obeys("unital", f, tol)
 
 
 def is_trace_nonincreasing(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):

@@ -421,13 +421,14 @@ def test_bad_wiring_exit_1(command, source, diagnostics, tmp_path, capsys):
     assert (code, out, err) == (1, "", "".join(f"{p}:{d}\n" for d in diagnostics))
 
 
-# `check member` under every directive theory: the exact line, with N and the failed laws
+# one check directive on a box; `check member` under every directive theory gives the exact line,
+# with N and the failed laws
 MEMBER_FILE = (
     "system q = Q(2)\n"
     "box mu : -> q = maxmix\n"
     "box nu : -> q = noise\n"
     "box twice : q -> q = choi [2,0,0,2, 0,0,0,0, 0,0,0,0, 2,0,0,2]\n"  # twice the identity
-    "check member {box} in {theory}\n"
+    "check {prop} {box} in {theory}\n"
 )
 NO_SIGNALLING_BOTH = "failed no-signalling-causal-retro, no-signalling-retro-causal"
 MEMBER_ROWS = [
@@ -456,13 +457,28 @@ MEMBER_ROWS = [
 @pytest.mark.parametrize("box, theory, code, verdict", MEMBER_ROWS)
 def test_check_member_table(box, theory, code, verdict, tmp_path, capsys):
     p = tmp_path / "member.pd"
-    p.write_text(MEMBER_FILE.format(box=box, theory=theory))
+    p.write_text(MEMBER_FILE.format(prop="member", box=box, theory=theory))
     assert run(capsys, "check", p) == (code, f"check member {box} in {theory}: {verdict}\n", "")
+
+
+# the one-sided laws on the same boxes: a box target is judged on its process, by a partial trace
+LAW_ROWS = [
+    ("causal", "mu", 0, "pass"), ("retrocausal", "mu", 1, "fail"), ("unital", "mu", 0, "pass"),
+    ("causal", "nu", 1, "fail"), ("retrocausal", "nu", 0, "pass"), ("unital", "nu", 1, "fail"),
+    ("causal", "twice", 1, "fail"), ("retrocausal", "twice", 1, "fail"), ("unital", "twice", 1, "fail"),
+]
+
+
+@pytest.mark.parametrize("prop, box, code, verdict", LAW_ROWS)
+def test_check_law_on_a_box(prop, box, code, verdict, tmp_path, capsys):
+    p = tmp_path / "law.pd"
+    p.write_text(MEMBER_FILE.format(prop=prop, box=box, theory="qcalc"))
+    assert run(capsys, "check", p) == (code, f"check {prop} {box} in qcalc: {verdict}\n", "")
 
 
 def test_check_unknown_theory_exit_2(tmp_path, capsys):
     p = tmp_path / "member.pd"
-    p.write_text(MEMBER_FILE.format(box="mu", theory="nope"))
+    p.write_text(MEMBER_FILE.format(prop="member", box="mu", theory="nope"))
     code, out, err = run(capsys, "check", p)
     assert "Traceback" not in err
     expected = "['qcalc', 'qcalc-bullet', 'qcalc-quotient', 'qneut', 'qpart', 'qphys', 'qphys-unital']"

@@ -311,6 +311,23 @@ class TestPredicates:
         assert is_zero(z)
         assert not is_zero(identity(Q(2)))
 
+    def test_time_reversal_swaps_the_two_discardings(self):
+        """f is causal exactly when its reflection dagger_h(f) is retrocausal, and retrocausal
+        exactly when dagger_h(f) is causal: on channels, their reflections and non-causal
+        processes (Wishart maps, noise, a doubled channel) over Q/C mixes."""
+        rng = np.random.default_rng(61)
+        systems = [Q(2), C(2), Q(3), Q(2) * C(2), C(3) * Q(2)]
+        verdicts = set()
+        for _ in range(20):
+            a, b = (systems[k] for k in rng.integers(len(systems), size=2))
+            f = P.random_cptp(rng, a, b)
+            for g in (f, dagger_h(f), ProcessTensor(a, b, 2 * f.choi), P.random_cp(rng, a, b),
+                      noise_state(b), max_mixed(b), channel_from_unitary(P.random_unitary(rng, 2), Q(2))):
+                assert preserves_identity(dagger_h(g)) == is_causal(g)
+                assert is_causal(dagger_h(g)) == preserves_identity(g)
+                verdicts.add((is_causal(g), preserves_identity(g)))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_basis_states_differ(self):
         zero = state(np.diag([1.0, 0.0]), Q(2))
         one = state(np.diag([0.0, 1.0]), Q(2))
@@ -370,12 +387,11 @@ class TestTrustBoundary:
     def test_non_finite_kraus_entries_rejected(self, bad):
         k = np.eye(2, dtype=complex)
         k[0, 1] = bad  # 1e200 overflows in V V^dag
-        # numpy warns inside the product; the finiteness check is what rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite entries"):
-                channel_from_kraus([k], Q(2), Q(2))
-            with pytest.raises(ValueError, match="non-finite entries"):
-                channel_from_unitary(k, C(2))
+        # the finiteness check is the only report: numpy's RuntimeWarnings are errors in this suite
+        with pytest.raises(ValueError, match="non-finite entries"):
+            channel_from_kraus([k], Q(2), Q(2))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            channel_from_unitary(k, C(2))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_haar_unitary_channels_construct(self, d):
