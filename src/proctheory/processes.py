@@ -15,8 +15,9 @@ all constructors and compositions preserve).
 Validity is checked where data enters, by ``ProcessTensor(...)``. What is
 positive by construction is built by the shape-only ``ProcessTensor._trusted``:
 identity matrices, a decohered V V^dag (positive for every V: the constant,
-Kraus and Wishart processes), and wirings and nonnegative rescalings of valid
-processes (the link product of positive operators is positive).
+Kraus and Wishart processes), and wirings, partial traces and nonnegative
+rescalings of valid processes, such as the parts ``no_signalling`` extracts
+(the link product of positive operators is positive).
 
 Trace preservation is deliberately *not* part of the type, so the same
 objects serve both the physical theory (CPTP maps) and the calculational

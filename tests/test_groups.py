@@ -3,6 +3,8 @@ import pytest
 
 from proctheory import groups as G
 from proctheory import processes as P
+from proctheory import suite
+from proctheory.numerics import Tolerances
 from proctheory.processes import (
     cap,
     channel_from_kraus,
@@ -212,6 +214,15 @@ class TestNoSignalling:
             assert v.notes == notes
             assert (v.f_c is None, v.f_r is None) == (not verdict[1], not verdict[0])
 
+    def test_member_pairs_split_under_a_strict_tolerance(self):
+        rng, strict = np.random.default_rng(57), Tolerances(psd_rel=0)
+        for _ in range(100):
+            f, f_c, f_r = suite._random_member_pair(rng, (2, 3))
+            v = G.no_signalling(f, tol=strict)
+            assert v.ok, v.notes
+            assert np.max(np.abs(v.f_c.choi - f_c.choi)) < 1e-12
+            assert np.max(np.abs(v.f_r.choi - f_r.choi)) < 1e-12
+
 
 class TestQPartMembership:
     def test_unitary_channel_on_causal_wires(self):
@@ -262,17 +273,29 @@ class TestQPartMembership:
             val = P.as_scalar(compose_seq(eff, compose_seq(member, rho)))
             assert val.value == pytest.approx(1.0, abs=1e-9)
 
+    NO_SIGNALLING_CHECKS = ["cp", "no-signalling-causal-retro", "no-signalling-retro-causal"]
+
     def test_purely_causal_member_is_causal(self):
         rng = np.random.default_rng(54)
         e = P.random_cptp(rng, Q(2), Q(3))
         v = G.qpart_membership(e)
-        assert v.ok and v.checks.get("derived-causal")
+        assert v.ok and P.is_causal(e)
+        assert list(v.checks) == self.NO_SIGNALLING_CHECKS
 
     def test_purely_retro_member_preserves_noise(self):
         rng = np.random.default_rng(55)
         r = dagger_h(P.random_cptp(rng, Q(2, DOWN), Q(3, DOWN)))
         v = G.qpart_membership(r)
-        assert v.ok and v.checks.get("derived-retrocausal")
+        assert v.ok and P.preserves_identity(r)
+        assert list(v.checks) == self.NO_SIGNALLING_CHECKS
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_channels_are_members_under_a_strict_tolerance(self, d):
+        # psd_rel=0 admits no rounding; the extracted parts are partial traces and are not re-judged
+        rng, strict = np.random.default_rng(56 + d), Tolerances(psd_rel=0)
+        for _ in range(100):
+            v = G.qpart_membership(P.random_cptp(rng, Q(d), Q(d)), tol=strict)
+            assert v.ok, v.reasons
 
     def test_partition_consistency(self):
         f = cup(Q(2))

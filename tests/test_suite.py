@@ -49,13 +49,20 @@ def test_worst_state_replays_the_worst_trial(seed, dims, trials):
 
 
 def test_validations_are_counted_where_data_enters(monkeypatch):
-    """Kraus, Stinespring and Wishart samples and positive rescalings are built
-    unchecked; states, effects, classical kernels and marginals are validated."""
+    """Kraus, Stinespring and Wishart samples, positive rescalings and the parts
+    no_signalling extracts are built unchecked; states, effects and classical
+    kernels are validated."""
     calls = []
     real = ProcessTensor.__post_init__
     monkeypatch.setattr(ProcessTensor, "__post_init__", lambda self, tol: calls.append(self) or real(self, tol))
     suite.run_all(42, (2, 3), 100)
-    assert len(calls) == 568
+    assert len(calls) == 368
+
+
+def test_all_checks_pass_under_a_strict_tolerance():
+    # psd_rel=0 admits no rounding: only data that enters the program is judged by it
+    reports = suite.run_all(42, (2, 3), 20, tol=Tolerances(psd_rel=0))
+    assert [r.name for r in reports if not r.passed] == []
 
 
 @pytest.mark.parametrize("dims, zero_dims", [((1,), [2]), ((1, 2, 3), [2, 3]), ((3, 1), [2, 3])])
