@@ -5,8 +5,8 @@
 import numpy as np
 
 from proctheory.groups import (
-    OrientedPartition, Representation, conjugate_rep, cyclic_group,
-    is_intertwiner, no_signalling, qpart_membership, s3_standard_representation,
+    Representation, conjugate_rep, cyclic_group, is_intertwiner,
+    no_signalling, qpart_membership, s3_standard_representation,
     symmetric_group_s3, tensor_rep, trivial_rep, validate_group,
     validate_representation,
 )

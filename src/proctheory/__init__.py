@@ -52,7 +52,6 @@ from .theories import (
 )
 from .groups import (
     FiniteGroup,
-    OrientedPartition,
     Representation,
     conjugate_rep,
     cyclic_group,

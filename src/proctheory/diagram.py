@@ -623,17 +623,16 @@ def _build_box(decl: BoxDecl, path, tol):
     if g == "discard":
         if not s_out.is_trivial():
             raise err("discard takes no output system")
-        return discard_gen(s_in)
-    if g in ("maxmix", "noise"):
+        base = discard_gen(s_in)
+    elif g in ("maxmix", "noise"):
         if not s_in.is_trivial():
             raise err(f"{g} takes no input system")
-        make = max_mixed if g == "maxmix" else noise_state
-        return make(s_out)
-    if g == "id":
+        base = (max_mixed if g == "maxmix" else noise_state)(s_out)
+    elif g == "id":
         if not s_in.same_carrier(s_out):
             raise err(f"id requires matching input and output, got {s_in} -> {s_out}")
-        return id_gen(s_in)
-    if g == "cup" or g == "cap":
+        base = id_gen(s_in)
+    elif g == "cup" or g == "cap":
         s = s_out if g == "cup" else s_in
         other = s_in if g == "cup" else s_out
         if not other.is_trivial():
@@ -646,8 +645,7 @@ def _build_box(decl: BoxDecl, path, tol):
         if not half.same_carrier(second):
             raise err(f"{g} halves do not match: {half} vs {second}")
         base = cup_gen(half) if g == "cup" else cap_gen(half)
-        return ProcessTensor._trusted(s_in, s_out, base.choi)
-    if g == "swap":
+    elif g == "swap":
         m = len(s_in.factors)
         splits = [
             k
@@ -657,9 +655,10 @@ def _build_box(decl: BoxDecl, path, tol):
         if not splits:
             raise err(f"swap output {s_out} is not a rotation of input {s_in}")
         k = splits[0]
-        a, b = SystemType(s_in.factors[:k]), SystemType(s_in.factors[k:])
-        return ProcessTensor._trusted(s_in, s_out, swap_gen(a, b).choi)
-    raise err(f"unknown generator {g!r}")
+        base = swap_gen(SystemType(s_in.factors[:k]), SystemType(s_in.factors[k:]))
+    else:
+        raise err(f"unknown generator {g!r}")
+    return ProcessTensor._trusted(s_in, s_out, base.choi)  # keep the declared orientations
 
 
 def build_env(parsed: ParsedFile, tol: Tolerances = DEFAULT_TOL):

@@ -1,5 +1,5 @@
 """Finite groups, unitary representations, intertwiners, and the
-no-signalling membership test for processes over causal/retrocausal wires.
+no-signalling membership test for processes over causal and retrocausal wires.
 
 Groups are explicit Cayley tables (every axiom is checked by exhaustive
 scan), representations assign a unitary on the quantum factors of a system
@@ -7,8 +7,9 @@ to each group element (classical factors always transform trivially), and
 the conjugate representation acts entrywise-conjugated on the
 orientation-flipped system.
 
-A process whose boundary is split into causal (forward) and retrocausal
-(backward) wires is no-signalling when discarding its causal outputs
+A boundary factor oriented up is causal (forward in time) and one oriented
+down (``dual``) is retrocausal; the orientation is the only record of time
+direction. A process is no-signalling when discarding its causal outputs
 disconnects it from the causal inputs, and symmetrically when noise-feeding
 its retrocausal inputs disconnects the retrocausal outputs. Membership in
 the particle/antiparticle theory is completely positive + intertwiner +
@@ -43,7 +44,6 @@ __all__ = [
     "tensor_rep",
     "conjugate_rep",
     "is_intertwiner",
-    "OrientedPartition",
     "NoSignallingVerdict",
     "no_signalling",
     "qpart_membership",
@@ -169,7 +169,7 @@ class Representation:
     action: tuple = field(repr=False)  # unitary on the quantum factors, per element
 
     def __post_init__(self):
-        action = tuple(np.asarray(u, dtype=complex) for u in self.action)
+        action = tuple(np.array(u, dtype=complex) for u in self.action)  # own copies, frozen below
         if len(action) != self.group.order:
             raise ValueError(f"need {self.group.order} unitaries, got {len(action)}")
         dq = self.quantum_dim
@@ -256,32 +256,7 @@ def is_intertwiner(
 
 
 # ---------------------------------------------------------------------------
-# Causal/retrocausal partitions and no-signalling
-
-@dataclass(frozen=True)
-class OrientedPartition:
-    """Per boundary factor of a process: causal (False) or retrocausal (True)."""
-
-    input_retro: tuple
-    output_retro: tuple
-
-    @classmethod
-    def from_orientations(cls, f: ProcessTensor):
-        return cls(
-            tuple(fac.orientation == DOWN for fac in f.input.factors),
-            tuple(fac.orientation == DOWN for fac in f.output.factors),
-        )
-
-    def check_consistent(self, f: ProcessTensor):
-        if len(self.input_retro) != len(f.input.factors) or len(self.output_retro) != len(
-            f.output.factors
-        ):
-            raise ValueError("partition does not match the process boundary")
-        flags = (*self.input_retro, *self.output_retro)
-        for flag, fac in zip(flags, f.input.factors + f.output.factors):
-            if fac.orientation == DOWN and not flag:
-                raise ValueError(f"factor {fac} is oriented down but marked causal")
-
+# No-signalling: boundary factors oriented up are causal, down retrocausal
 
 @dataclass
 class NoSignallingVerdict:
@@ -315,11 +290,11 @@ def _matches_identity_product(choi, dims, eye_positions, tol):
     return max_abs(choi - expected) / max(1.0, max_abs(choi)), residue
 
 
-def _sub_system(s: SystemType, flags, retro):
-    return SystemType(tuple(f for f, is_r in zip(s.factors, flags) if is_r == retro))
+def _sub_system(s: SystemType, retro):
+    return SystemType(tuple(fac for fac in s.factors if (fac.orientation == DOWN) == retro))
 
 
-def _marginal(f, partition, dims, traced, eyes, law, tol, notes):
+def _marginal(f, dims, traced, eyes, law, tol, notes):
     """One no-signalling direction: trace out ``traced``, require the rest to
     be 1 on ``eyes`` tensored with a residue, and read the residue as the
     retro (or causal) part, which must obey ``law``: ``retrocausal`` (or ``causal``).
@@ -333,9 +308,7 @@ def _marginal(f, partition, dims, traced, eyes, law, tol, notes):
     retro = law == "retrocausal"
     note = ("extracted retro part does not preserve the noise state" if retro
             else "extracted causal part is not trace preserving")
-    s_in = _sub_system(f.input, partition.input_retro, retro)
-    s_out = _sub_system(f.output, partition.output_retro, retro)
-    part = ProcessTensor._trusted(s_in, s_out, mat)
+    part = ProcessTensor._trusted(_sub_system(f.input, retro), _sub_system(f.output, retro), mat)
     if not obeys(law, part, tol):
         notes.append(note)
         return False, res, None
@@ -343,30 +316,27 @@ def _marginal(f, partition, dims, traced, eyes, law, tol, notes):
     return ok, res, part if ok else None
 
 
-def no_signalling(
-    f: ProcessTensor, partition: OrientedPartition | None = None, tol: Tolerances = DEFAULT_TOL
-):
+def no_signalling(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Check both no-signalling directions, extracting the factored marginals.
 
+    Each boundary factor oriented up is causal, each oriented down retrocausal.
     Causal->retro: discarding all causal outputs must leave discarded causal
     inputs tensored with a retrocausal process F_r on the retro wires.
     Retro->causal: feeding noise into all retro inputs must leave a causal
     process F_c on the causal wires tensored with noise on the retro outputs.
     """
-    if partition is None:
-        partition = OrientedPartition.from_orientations(f)
-    partition.check_consistent(f)
+    retro = [fac.orientation == DOWN for fac in f.input.factors + f.output.factors]
     n_in = len(f.input.factors)
     dims = list(f.input.dims) + list(f.output.dims)
-    c_in = [i for i, r in enumerate(partition.input_retro) if not r]
-    r_in = [i for i, r in enumerate(partition.input_retro) if r]
-    c_out = [n_in + i for i, r in enumerate(partition.output_retro) if not r]
-    r_out = [n_in + i for i, r in enumerate(partition.output_retro) if r]
+    c_in = [i for i in range(n_in) if not retro[i]]
+    r_in = [i for i in range(n_in) if retro[i]]
+    c_out = [i for i in range(n_in, len(dims)) if not retro[i]]
+    r_out = [i for i in range(n_in, len(dims)) if retro[i]]
     notes = []
     # causal -> retro: discard the causal outputs, leaving 1 on the causal inputs
-    ok_cr, res_cr, fr = _marginal(f, partition, dims, c_out, c_in, "retrocausal", tol, notes)
+    ok_cr, res_cr, fr = _marginal(f, dims, c_out, c_in, "retrocausal", tol, notes)
     # retro -> causal: noise into the retro inputs, leaving 1 on the retro outputs
-    ok_rc, res_rc, fc = _marginal(f, partition, dims, r_in, r_out, "causal", tol, notes)
+    ok_rc, res_rc, fc = _marginal(f, dims, r_in, r_out, "causal", tol, notes)
     return NoSignallingVerdict(ok_cr and ok_rc, ok_cr, ok_rc, res_cr, res_rc, fc, fr, notes)
 
 
@@ -374,7 +344,6 @@ def qpart_membership(
     f: ProcessTensor,
     rep_in: Representation | None = None,
     rep_out: Representation | None = None,
-    partition: OrientedPartition | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ):
     """Particle/antiparticle theory membership: CP + intertwiner + no-signalling.
@@ -384,14 +353,12 @@ def qpart_membership(
     (retrocausal) boundary one direction traces nothing and judges ``f`` itself
     by the causal (retrocausal) law, so no separate check is needed.
     """
-    if partition is None:
-        partition = OrientedPartition.from_orientations(f)
     checks = {"cp": True}  # ProcessTensor construction enforces complete positivity
     if rep_in is not None or rep_out is not None:
         if rep_in is None or rep_out is None:
             raise ValueError("supply both rep_in and rep_out, or neither")
         checks["intertwiner"] = is_intertwiner(f, rep_in, rep_out, tol)
-    ns = no_signalling(f, partition, tol)
+    ns = no_signalling(f, tol)
     checks["no-signalling-causal-retro"] = ns.causal_to_retro
     checks["no-signalling-retro-causal"] = ns.retro_to_causal
     reasons = [k for k, v in checks.items() if not v]

@@ -4,7 +4,8 @@ A wire factor is either a quantum system of some Hilbert-space dimension or
 a classical system of some set size, together with an orientation flag
 (up = forward in time, down = its time-reversed dual). Orientation is pure
 metadata at the numerical level: it only acquires meaning for conjugate
-representations and causal/retrocausal partitions.
+representations and no-signalling, where a factor oriented up is causal and
+one oriented down is retrocausal.
 
 >>> s = Q(2) * C(3)
 >>> s.total_dim

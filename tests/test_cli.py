@@ -476,6 +476,32 @@ def test_check_law_on_a_box(prop, box, code, verdict, tmp_path, capsys):
     assert run(capsys, "check", p) == (code, f"check {prop} {box} in qcalc: {verdict}\n", "")
 
 
+def choi_literal(f):
+    """``f``'s Choi operator as a ``.pd`` choi literal of real entries."""
+    return "choi [" + ", ".join(f"{x.real:g}" for x in f.choi.ravel()) + "]"
+
+
+# `check nosignalling` on a box reads time direction from its declared orientations alone:
+# a generator box and the choi literal of the same process give the same line
+SIGNALLING_BOTH = "fail (signalling: causal->retro, retro->causal)"
+NO_SIGNALLING_ROWS = [
+    ("q -> q", "id", 0, "pass"),
+    ("q * dual(q) -> q * dual(q)", "id", 0, "pass"),
+    ("q -> dual(q)", "id", 1, SIGNALLING_BOTH),
+    ("q -> dual(q)", choi_literal(P.identity(Q(2))), 1, SIGNALLING_BOTH),
+    ("q * dual(q) -> dual(q) * q", "id", 1, SIGNALLING_BOTH),
+    ("q * dual(q) -> dual(q) * q", choi_literal(P.identity(Q(2) * Q(2))), 1, SIGNALLING_BOTH),
+]
+
+
+@pytest.mark.parametrize("signature, body, code, verdict", NO_SIGNALLING_ROWS,
+                         ids=[f"{b[:4]}: {s}" for s, b, _, _ in NO_SIGNALLING_ROWS])
+def test_check_nosignalling_on_a_box(signature, body, code, verdict, tmp_path, capsys):
+    p = tmp_path / "nosignalling.pd"
+    p.write_text(f"system q = Q(2)\nbox b : {signature} = {body}\ncheck nosignalling b in qpart\n")
+    assert run(capsys, "check", p) == (code, f"check nosignalling b in qpart: {verdict}\n", "")
+
+
 def test_check_unknown_theory_exit_2(tmp_path, capsys):
     p = tmp_path / "member.pd"
     p.write_text(MEMBER_FILE.format(prop="member", box="mu", theory="nope"))

@@ -133,6 +133,19 @@ def test_generators_build_under_a_strict_tolerance():
         assert np.array_equal(env[name].choi, f.choi)
 
 
+@pytest.mark.parametrize("decl", [
+    "discard : dual(q) ->", "maxmix : -> dual(q)", "noise : -> dual(q)", "id : q -> dual(q)",
+    "id : q * dual(q) -> dual(q) * q", "cup : -> dual(q) * q", "cap : dual(q) * q ->",
+    "swap : q * dual(q) -> dual(q) * q",
+])
+def test_generators_keep_their_declared_orientations(decl):
+    # a dual factor marks a retrocausal wire: every generator box carries its declared types exactly
+    generator, signature = decl.split(" : ")
+    pf = D.parse(f"system q = Q(2)\nbox b : {signature} = {generator}")
+    f, declared = D.build_env(pf)["b"], pf.boxes["b"]
+    assert (f.input, f.output) == (declared.s_in, declared.s_out)
+
+
 # ---------------------------------------------------------------------------
 # Planning
 

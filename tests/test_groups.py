@@ -86,6 +86,15 @@ class TestRepresentations:
         assert np.allclose(conj.action[1], np.diag([1.0, -1j]))
         assert conj.system.factors[0].orientation == DOWN
 
+    def test_caller_arrays_stay_writeable(self):
+        # the representation freezes its own copies, never the caller's complex arrays
+        mats = (np.eye(2, dtype=complex), np.diag([1, -1]).astype(complex))
+        rep = G.Representation(G.cyclic_group(2), Q(2), mats)
+        assert all(m.flags.writeable for m in mats)
+        assert not any(u.flags.writeable for u in rep.action)
+        mats[1][1, 1] = 5
+        assert np.array_equal(rep.action[1], Z)
+
     def test_classical_factors_act_trivially(self):
         r = G.Representation(G.cyclic_group(2), Q(2) * C(3), (np.eye(2), Z))
         u = r.unitary(1)
@@ -296,10 +305,3 @@ class TestQPartMembership:
         for _ in range(100):
             v = G.qpart_membership(P.random_cptp(rng, Q(d), Q(d)), tol=strict)
             assert v.ok, v.reasons
-
-    def test_partition_consistency(self):
-        f = cup(Q(2))
-        with pytest.raises(ValueError, match="oriented down"):
-            G.OrientedPartition((), (False, False)).check_consistent(f)
-        with pytest.raises(ValueError, match=r"factor dual\(Q\(2\)\) is oriented down"):
-            G.OrientedPartition((False, False), ()).check_consistent(cap(Q(2)))
