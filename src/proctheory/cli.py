@@ -153,16 +153,16 @@ def _judge(prop, theory, f, rep_in, rep_out, tol):
     if prop == "member" and theory is not _QPART:
         verdict = membership(theory, f, tol)
         return verdict.ok, "" if verdict.ok else f" ({verdict})"
+    if (rep_in is None) != (rep_out is None) or (prop == "intertwiner" and rep_in is None):
+        return None, "supply --rep-in and --rep-out files"
     ri = ro = None  # the loaded representations, moved onto f's input and output
-    if rep_in and rep_out:
+    if rep_in:
         try:
             ri = groups.Representation(rep_in.group, f.input, rep_in.action)
             ro = groups.Representation(rep_out.group, f.output, rep_out.action)
         except ValueError as exc:
             return None, str(exc)
     if prop == "intertwiner":
-        if ri is None:
-            return None, "supply --rep-in and --rep-out files"
         return groups.is_intertwiner(f, ri, ro, tol), ""
     verdict = groups.qpart_membership(f, ri, ro, tol=tol)
     return verdict.ok, "" if verdict.ok else f" ({verdict})"

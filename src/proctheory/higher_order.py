@@ -7,18 +7,23 @@ relabelling of the Choi tensor's boundary: the array is permuted, never
 altered, so bending is involutive to machine precision.
 
 A process matrix W maps a pair of channels (A, B) to a channel. Plugging
-swaps into both slots of W yields an ordinary channel; conversely, any
-CPTP channel of that shape can be read as a process matrix by retagging
-its boundary legs as slot ports, which is how :func:`realize_process_matrix`
-works. Plugging the swaps back in undoes the retagging, so the round trip
-is exact.
+them in is a diagram of three nodes, evaluated by
+:func:`proctheory.diagram.evaluate`: W's slot-input ports feed each
+channel's leading inputs, and the channel's leading outputs feed W's
+slot-output ports. :func:`circuit_form_channel` is likewise the diagram of
+its three gates. Plugging swaps into both slots of W yields an ordinary
+channel; conversely, any CPTP channel of that shape can be read as a
+process matrix by retagging its boundary legs as slot ports, which is how
+:func:`realize_process_matrix` works. Plugging the swaps back in undoes the
+retagging, so the round trip is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import DEFAULT_TOL, Tolerances, contract
+from . import diagram
+from .numerics import DEFAULT_TOL, Tolerances
 from .processes import ProcessTensor, ProcessTypeError, identity, is_causal
 from .systems import SystemType
 
@@ -116,59 +121,51 @@ def realize_process_matrix(w_channel: ProcessTensor, input_roles, output_roles,
     return HigherOrderMap(w_channel, tuple(input_roles), tuple(output_roles))
 
 
-def _positions(roles, role):
-    return [i for i, r in enumerate(roles) if r == role]
-
-
-def _kets_bras(legs):
-    return [(leg, 0) for leg in legs] + [(leg, 1) for leg in legs]
+def _plug(procs, links, ins, outs):
+    """Evaluate the diagram with a node per ``procs`` entry (name -> process), ``links``
+    wiring ``(source, sink)`` ports ``(node, side, k)``, ``bound.in[k]`` feeding ``ins[k]``
+    and ``outs[k]`` feeding ``bound.out[k]``. Wires are numbered ins, links, outs; the
+    numbering fixes the order of the floating-point sums."""
+    nodes = {name: diagram.DiagramNode(name, name, p.input, p.output) for name, p in procs.items()}
+    ends = [(("bound", "in", k), p) for k, p in enumerate(ins)] + links
+    ends += [(p, ("bound", "out", k)) for k, p in enumerate(outs)]
+    wires = [diagram.Wire(diagram.Port(*a), diagram.Port(*b)) for a, b in ends]
+    return diagram.evaluate(diagram.Diagram("plug", nodes, wires), procs)
 
 
 def apply_process_matrix(w: HigherOrderMap, a: ProcessTensor, b: ProcessTensor):
-    """Plug channels into the slots: contract W with choi(a), then with choi(b).
+    """Plug channels into the slots: evaluate the diagram of W, a and b.
 
-    Each slot channel's leading input factors must match the slot's input
-    wires and its leading output factors the slot's output wires; any further
-    factors are ancilla legs that join the global boundary (so plugging
-    ``swap(slot_in, slot_out)`` into both slots reproduces the underlying
-    channel exactly). Inputs of the result are ordered past, then a's
-    ancilla inputs, then b's; outputs are a's ancilla outputs, b's, future.
+    W's ports of role ``a-in`` feed a's leading inputs, in order, and a's
+    leading outputs feed W's ``a-out`` ports; likewise for b. Any further
+    factors of a slot channel are ancilla legs that join the global boundary
+    (so plugging ``swap(slot_in, slot_out)`` into both slots reproduces the
+    underlying channel exactly). Inputs of the result are ordered past, then
+    a's ancilla inputs, then b's; outputs are a's ancilla outputs, b's, future.
 
     The result is guaranteed CPTP when ``w`` came from a circuit-shaped
     channel; for exotic W inputs the contraction is still performed and the
     caller can test causality.
     """
-    u = w.underlying
-    n_in = len(u.input.factors)
-    legs_w = [("w", i) for i in range(n_in + len(u.output.factors))]
-    legs, anc_in, anc_out, extras = {}, {}, {}, {}
+    ports = {role: [] for role in SLOT_ROLES}  # W's ports of each role, in order
+    for side, roles in (("in", w.input_roles), ("out", w.output_roles)):
+        for i, role in enumerate(roles):
+            ports[role].append(("w", side, i))
+    links, anc_in, anc_out = [], [], []
     for slot, ch in (("a", a), ("b", b)):
-        s_in = w.slot_system(f"{slot}-in")
-        s_out = w.slot_system(f"{slot}-out")
-        k_in, k_out = len(s_in.factors), len(s_out.factors)
+        s_in, s_out = w.slot_system(f"{slot}-in"), w.slot_system(f"{slot}-out")
+        k_in, k_out = len(s_in), len(s_out)
         if not SystemType(ch.input.factors[:k_in]).same_carrier(s_in):
             raise ValueError(f"slot {slot} expects input starting with {s_in}, got {ch.input}")
         if not SystemType(ch.output.factors[:k_out]).same_carrier(s_out):
             raise ValueError(f"slot {slot} expects output starting with {s_out}, got {ch.output}")
-        extras[slot] = (ch.input.factors[k_in:], ch.output.factors[k_out:])
-        # slot wires are W's legs; ancilla legs get names of their own
-        anc_in[slot] = [(slot, "in", j) for j in range(k_in, len(ch.input.factors))]
-        anc_out[slot] = [(slot, "out", j) for j in range(k_out, len(ch.output.factors))]
-        feed = [legs_w[n_in + i] for i in _positions(w.output_roles, f"{slot}-in")]
-        ret = [legs_w[i] for i in _positions(w.input_roles, f"{slot}-out")]
-        legs[slot] = _kets_bras(feed + anc_in[slot] + ret + anc_out[slot])
-
-    past = [legs_w[i] for i in _positions(w.input_roles, "past")]
-    future = [legs_w[n_in + i] for i in _positions(w.output_roles, "future")]
-    boundary = past + anc_in["a"] + anc_in["b"] + anc_out["a"] + anc_out["b"] + future
-    lw = _kets_bras(legs_w)
-    mid = [l for l in lw if l not in legs["a"]] + [l for l in legs["a"] if l not in lw]
-    t = contract(u.legs(), lw, a.legs(), legs["a"], mid)
-    res = contract(t, mid, b.legs(), legs["b"], _kets_bras(boundary))
-    s_in = w.slot_system("past") * SystemType(extras["a"][0]) * SystemType(extras["b"][0])
-    s_out = SystemType(extras["a"][1]) * SystemType(extras["b"][1]) * w.slot_system("future")
-    side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor._trusted(s_in, s_out, res.reshape(side, side))
+        # wires into W's inputs before those out of its outputs, as W's Choi legs run
+        links += [((slot, "out", j), p) for j, p in enumerate(ports[f"{slot}-out"])]
+        links += [(p, (slot, "in", j)) for j, p in enumerate(ports[f"{slot}-in"])]
+        anc_in += [(slot, "in", j) for j in range(k_in, len(ch.input))]
+        anc_out += [(slot, "out", j) for j in range(k_out, len(ch.output))]
+    return _plug({"w": w.underlying, "a": a, "b": b}, links,
+                 ports["past"] + anc_in, anc_out + ports["future"])
 
 
 def ordered_process_channel(past: SystemType, mid: SystemType, late: SystemType):
@@ -192,23 +189,12 @@ def circuit_form_channel(g1: ProcessTensor, g2: ProcessTensor, g3: ProcessTensor
     (a-in, b-in, future). Applying channels (A, B) then equals the ordered
     composite g3 . (B (x) 1) . g2 . (A (x) 1) . g1.
     """
-    a_in, m1 = SystemType(g1.output.factors[:1]), SystemType(g1.output.factors[1:])
-    a_out = SystemType(g2.input.factors[:1])
-    b_in, m2 = SystemType(g2.output.factors[:1]), SystemType(g2.output.factors[1:])
-    b_out = SystemType(g3.input.factors[:1])
-    for mem, g in ((m1, g2), (m2, g3)):
-        if not SystemType(g.input.factors[1:]).same_carrier(mem):
-            raise ProcessTypeError(f"memory {mem} does not match the input of {g}")
-    # one leg per wire, grouped: p past, a/x slot A in/out, m/n memories,
-    # b/y slot B in/out, f future; upper case marks the bra legs
-    dim = dict(zip("paxmbnyf", (g1.din, a_in.total_dim, a_out.total_dim, m1.total_dim,
-                                b_in.total_dim, m2.total_dim, b_out.total_dim, g3.dout)))
-
-    def grouped(g, legs):
-        return g.choi.reshape([dim[l] for l in legs + legs])
-
-    t = contract(grouped(g1, "pam"), "pamPAM", grouped(g2, "xmbn"), "xmbnXMBN", "paPAxbnXBN")
-    t = contract(t, "paPAxbnXBN", grouped(g3, "ynf"), "ynfYNF", "pxyabfPXYABF")
-    s_in, s_out = g1.input * a_out * b_out, a_in * b_in * g3.output
-    side = s_in.total_dim * s_out.total_dim
-    return ProcessTensor._trusted(s_in, s_out, t.reshape(side, side))
+    procs, links = {"g1": g1, "g2": g2, "g3": g3}, []
+    for f, g in (("g1", "g2"), ("g2", "g3")):  # f's outputs after the first are g's memory
+        mem = SystemType(procs[f].output.factors[1:])
+        if not SystemType(procs[g].input.factors[1:]).same_carrier(mem):
+            raise ProcessTypeError(f"memory {mem} does not match the input of {procs[g]}")
+        links += [((f, "out", j), (g, "in", j)) for j in range(1, len(mem) + 1)]
+    ins = [("g1", "in", j) for j in range(len(g1.input))] + [("g2", "in", 0), ("g3", "in", 0)]
+    outs = [("g1", "out", 0), ("g2", "out", 0)] + [("g3", "out", j) for j in range(len(g3.output))]
+    return _plug(procs, links, ins, outs)

@@ -296,6 +296,28 @@ def test_check_signalling_map_not_in_qpart(tmp_path, capsys):
     assert "no-signalling-causal-retro" in out
 
 
+# A bit flip mixed with the identity: no signalling, but it does not commute with Z
+FLIP_FILE = (
+    "system q = Q(2)\n"
+    "box p : q -> q = choi [0.5,0.5,0,0, 0.5,0.5,0,0, 0,0,0.5,0.5, 0,0,0.5,0.5]\n"
+    "check {prop} p in {theory}\n"
+)
+
+
+@pytest.mark.parametrize("prop, theory", [("member", "qpart"), ("intertwiner", "qcalc")])
+@pytest.mark.parametrize("flag", ["--rep-in", "--rep-out"])
+def test_check_with_one_rep_file_exit_2(tmp_path, capsys, prop, theory, flag):
+    rep = tmp_path / "z2.grp"
+    rep.write_text(Z2_REP)
+    p = tmp_path / "flip.pd"
+    p.write_text(FLIP_FILE.format(prop=prop, theory=theory))
+    code, out, err = run(capsys, "check", p, flag, rep)
+    assert (code, out, err) == (2, "", f"check {prop} p in {theory}: supply --rep-in and --rep-out files\n")
+    code, out, err = run(capsys, "check", p, "--rep-in", rep, "--rep-out", rep)
+    detail = " (not a member of qpart: failed intertwiner)" if prop == "member" else ""
+    assert (code, out, err) == (1, f"check {prop} p in {theory}: fail{detail}\n", "")
+
+
 def test_check_rep_of_wrong_size_exit_2(tmp_path, capsys):
     p = tmp_path / "qpart_member.pd"
     p.write_text(QPART_FILE.format(entries="1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1"))

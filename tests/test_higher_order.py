@@ -80,7 +80,7 @@ def test_roundtrip_on_circuit_form():
         assert is_causal(wch)
         w = HO.realize_process_matrix(wch, ROLES_IN, ROLES_OUT)
         sw = swap(Q(2), Q(2))
-        assert np.max(np.abs(HO.apply_process_matrix(w, sw, sw).choi - wch.choi)) < 1e-9
+        assert np.array_equal(HO.apply_process_matrix(w, sw, sw).choi, wch.choi)
         a = P.random_cptp(rng, Q(2), Q(2))
         b = P.random_cptp(rng, Q(2), Q(2))
         got = HO.apply_process_matrix(w, a, b)
@@ -93,6 +93,55 @@ def test_roundtrip_on_circuit_form():
             ),
         )
         assert np.max(np.abs(got.choi - oracle.choi)) < 1e-9
+
+
+def test_role_order_invariance():
+    # the same circuit-form W with its factors and their roles permuted together
+    rng = np.random.default_rng(65)
+    g1 = P.random_cptp(rng, Q(2), Q(3) * Q(2))
+    g2 = P.random_cptp(rng, Q(2) * Q(2), Q(2) * Q(2))
+    g3 = P.random_cptp(rng, Q(3) * Q(2), Q(2))
+    wch = HO.circuit_form_channel(g1, g2, g3)  # (P, A_out, B_out) -> (A_in, B_in, F)
+    a = P.random_cptp(rng, Q(3), Q(2))
+    b = P.random_cptp(rng, Q(2), Q(3))
+    want = HO.apply_process_matrix(HO.realize_process_matrix(wch, ROLES_IN, ROLES_OUT), a, b)
+    # inputs (B_out, P, A_out), outputs (F, A_in, B_in)
+    permuted = compose_seq(swap(Q(3) * Q(2), Q(2)), compose_seq(wch, swap(Q(3), Q(2) * Q(2))))
+    w = HO.realize_process_matrix(permuted, ("b-out", "past", "a-out"), ("future", "a-in", "b-in"))
+    got = HO.apply_process_matrix(w, a, b)
+    assert got.input == want.input and got.output == want.output
+    assert np.max(np.abs(got.choi - want.choi)) < 1e-12
+
+
+def test_multi_factor_slot():
+    rng = np.random.default_rng(66)
+    w = HO.realize_process_matrix(
+        HO.ordered_process_channel(Q(2), Q(2) * Q(3), Q(2)),
+        ("past", "a-out", "a-out", "b-out"), ("a-in", "b-in", "b-in", "future"),
+    )
+    assert w.slot_system("a-out") == w.slot_system("b-in") == Q(2) * Q(3)
+    a = P.random_cptp(rng, Q(2), Q(2) * Q(3))
+    b = P.random_cptp(rng, Q(2) * Q(3), Q(2))
+    got = HO.apply_process_matrix(w, a, b)
+    assert np.max(np.abs(got.choi - compose_seq(b, a).choi)) < 1e-12
+
+
+def test_unequal_ancillas():
+    # a has an ancilla output Y, b an ancilla input X; the result is (P, X) -> (Y, F)
+    rng = np.random.default_rng(67)
+    w = HO.realize_process_matrix(
+        HO.ordered_process_channel(Q(2), Q(2), Q(2)), ROLES_IN, ROLES_OUT
+    )
+    s, x, y = Q(2), Q(2), Q(3)
+    a = P.random_cptp(rng, s, s * y)
+    b = P.random_cptp(rng, s * x, s)
+    got = HO.apply_process_matrix(w, a, b)
+    assert got.input == s * x and got.output == y * s
+    oracle = compose_seq(
+        compose_par(identity(y), b),
+        compose_seq(compose_par(swap(s, y), identity(x)), compose_par(a, identity(x))),
+    )
+    assert np.max(np.abs(got.choi - oracle.choi)) < 1e-12
 
 
 def test_bilinearity():
