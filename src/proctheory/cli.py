@@ -156,15 +156,15 @@ def _judge(prop, theory, f, rep_in, rep_out, tol):
     if (rep_in is None) != (rep_out is None) or (prop == "intertwiner" and rep_in is None):
         return None, "supply --rep-in and --rep-out files"
     ri = ro = None  # the loaded representations, moved onto f's input and output
-    if rep_in:
-        try:
+    try:
+        if rep_in:
             ri = groups.Representation(rep_in.group, f.input, rep_in.action)
             ro = groups.Representation(rep_out.group, f.output, rep_out.action)
-        except ValueError as exc:
-            return None, str(exc)
-    if prop == "intertwiner":
-        return groups.is_intertwiner(f, ri, ro, tol), ""
-    verdict = groups.qpart_membership(f, ri, ro, tol=tol)
+        if prop == "intertwiner":
+            return groups.is_intertwiner(f, ri, ro, tol), ""
+        verdict = groups.qpart_membership(f, ri, ro, tol=tol)
+    except ValueError as exc:  # the rep files do not fit f, or represent different groups
+        return None, str(exc)
     return verdict.ok, "" if verdict.ok else f" ({verdict})"
 
 

@@ -32,9 +32,9 @@ Wiring is checked against the active theory's capabilities:
   ii.  cycles through nodes need cups & caps;
   iii. wire endpoints must carry the same wire factor.
 
-Evaluation contracts Choi tensors pairwise along a plan; any valid order
-gives the same process, and a greedy order keeps intermediates small.
-Diagnostics are rendered ``file:line:col: rule: message``.
+Evaluation contracts Choi tensors pairwise along a plan; any valid order gives the
+same process. A merge sums each label met twice, a self-loop's too, and the last
+merge orders the boundary. Diagnostics are rendered ``file:line:col: rule: message``.
 """
 
 from __future__ import annotations
@@ -271,20 +271,19 @@ class Diagram:
 class Wiring(NamedTuple):
     """A diagram's wire table, read by ``typecheck``, ``plan`` and ``evaluate``.
 
-    ``ends[w]`` holds wire ``w``'s two ends, ``a`` then ``b``, each as (node
-    index or None at the boundary, whether the end is a source, its
-    ``WireFactor`` or None at the boundary or out of range). ``reused`` holds
-    the ``(w, 0 | 1)`` ends whose port an earlier wire uses. ``node_wires[n]``
-    is the wire at each input, then output, port of node ``n`` (None where
-    unwired): the node's ket labels are ``2w``, its bra labels ``2w + 1``.
-    ``loops[n]`` tells whether a wire meets node ``n`` twice. ``bound[side]``
+    ``ends[w]`` holds wire ``w``'s two ends, ``a`` then ``b``, each as (node index
+    or None at the boundary, whether the end is a source, its ``WireFactor`` or None
+    at the boundary or out of range). ``reused`` holds the ``(w, 0 | 1)`` ends whose
+    port an earlier wire uses. ``node_wires[n]`` is the wire at each input, then
+    output, port of node ``n`` (None where unwired): the node's ket labels are
+    ``2w``, its bra labels ``2w + 1``; ``evaluate``'s merges sum each label met
+    twice, a self-loop's too, and the last one orders the boundary. ``bound[side]``
     lists ``(index, w)`` for each boundary port of that side, by index.
     """
 
     ends: list
     reused: set
     node_wires: list
-    loops: list
     bound: dict
 
 
@@ -313,8 +312,7 @@ def _wiring(diagram):
         flat.append((n, side == "out", factor))
     for side_ports in bound.values():
         side_ports.sort(key=lambda entry: entry[0])  # stable: a reused index keeps wire order
-    loops = [len(set(ws)) < len(ws) for ws in node_wires]
-    return Wiring(list(zip(flat[0::2], flat[1::2])), reused, node_wires, loops, bound)
+    return Wiring(list(zip(flat[0::2], flat[1::2])), reused, node_wires, bound)
 
 
 @dataclass
@@ -899,12 +897,12 @@ def evaluate_closed(diagram: Diagram, side, env):
 def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=None):
     """Contract a typechecked diagram to a single ProcessTensor.
 
-    ``env`` maps box names to processes; ``contraction`` overrides the greedy
-    plan. The result's input (output) factors follow the bound.in (bound.out)
-    indices; a closed diagram yields a trivial -> trivial process, readable
-    with :func:`proctheory.processes.as_scalar`. Wiring valid processes
-    needs no tolerance, so ``tol`` is unused; it stays in the signature for
-    callers that pass it positionally.
+    ``env`` maps box names to processes; ``contraction`` overrides the greedy plan.
+    Each merge sums the labels met twice, a self-loop's too, and the last writes
+    the boundary order. The result's input (output) factors follow the bound.in
+    (bound.out) indices; a closed diagram yields a trivial -> trivial process,
+    readable with :func:`proctheory.processes.as_scalar`. ``tol`` is unused, as
+    wiring valid processes needs no tolerance; callers pass it positionally.
     """
     wiring = diagram.wiring
     comps = {}  # component representative -> (labels, tensor)
@@ -917,40 +915,30 @@ def evaluate(diagram: Diagram, env, tol: Tolerances = DEFAULT_TOL, contraction=N
         ws = wiring.node_wires[n]
         if None in ws:
             raise ValueError(f"node {name!r} has an unwired port")
-        subs = [2 * w for w in ws] + [2 * w + 1 for w in ws]  # kets, then bras
-        if wiring.loops[n]:  # contract self-loops (labels occurring twice) right away
-            out_subs = sorted(l for l in set(subs) if subs.count(l) == 1)
-            comps[n] = (out_subs, contract(pt.legs(), subs, out_subs))
-        else:
-            comps[n] = (subs, pt.legs())
-
-    if not comps:
-        result_labels, result = [], np.ones(())
-    else:
-        cplan = contraction if contraction is not None else plan(diagram)
-        for a, b, _cost in cplan.steps:
-            subs_a, ta = comps[a]
-            subs_b, tb = comps[b]
-            shared = set(subs_a) & set(subs_b)
-            out_subs = sorted((set(subs_a) | set(subs_b)) - shared)
-            merged = contract(ta, subs_a, tb, subs_b, out_subs)
-            comps[min(a, b)] = (out_subs, merged)
-            del comps[max(a, b)]
-        if len(comps) != 1:
-            raise ValueError("contraction plan did not merge the diagram into one component")
-        (result_labels, result), = comps.values()
+        comps[n] = ([2 * w for w in ws] + [2 * w + 1 for w in ws], pt.legs())  # kets, then bras
 
     open_wires = [w for side in ("in", "out") for _, w in wiring.bound[side]]
+    want = [2 * w for w in open_wires] + [2 * w + 1 for w in open_wires]
+    left_open = lambda labels: sorted(l for l in labels if labels.count(l) == 1)
+    for a, b, _cost in (contraction or plan(diagram)).steps:
+        (subs_a, ta), (subs_b, tb) = comps.pop(a), comps.pop(b)
+        out_subs = left_open(subs_a + subs_b)
+        if not comps and out_subs == sorted(want):
+            out_subs = want  # the last merge writes the boundary order
+        comps[min(a, b)] = (out_subs, contract(ta, subs_a, tb, subs_b, out_subs))
+    if len(comps) > 1:
+        raise ValueError("contraction plan did not merge the diagram into one component")
+    labels, result = comps.popitem()[1] if comps else ([], np.ones(()))
+
     factors = []
     for w in open_wires:
         (_, _, fa), (_, _, fb) = wiring.ends[w]
         if fa is None and fb is None:
             raise ValueError(f"boundary wire {diagram.wires[w]} has no typed endpoint")
         factors.append(fa or fb)
-    want = [2 * w for w in open_wires] + [2 * w + 1 for w in open_wires]
-    if sorted(want) != sorted(result_labels):
+    if left_open(labels) != sorted(want):
         raise ValueError("evaluation did not leave exactly the boundary wires open")
-    final = contract(result, result_labels, want) if want else result
+    final = result if labels == want else contract(result, labels, want)  # at most one node
     n_in = len(wiring.bound["in"])
     s_in, s_out = SystemType(tuple(factors[:n_in])), SystemType(tuple(factors[n_in:]))
     side = s_in.total_dim * s_out.total_dim

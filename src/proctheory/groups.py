@@ -241,12 +241,14 @@ def is_intertwiner(
     """Covariance: f . Ad_{U_in(g)} = Ad_{U_out(g)} . f for every group element.
 
     Equivalently the Choi operator is invariant under conjugation by
-    conj(U_in(g)) (x) U_out(g).
+    conj(U_in(g)) (x) U_out(g). Both must represent one group: one Cayley table.
     """
     if not rep_in.system.same_carrier(f.input):
         raise ValueError(f"input representation lives on {rep_in.system}, process input is {f.input}")
     if not rep_out.system.same_carrier(f.output):
         raise ValueError(f"output representation lives on {rep_out.system}, process output is {f.output}")
+    if rep_in.group is not rep_out.group and not np.array_equal(rep_in.group.table, rep_out.group.table):
+        raise ValueError("rep_in and rep_out represent different groups")
     for g in rep_in.group.elements():
         u = np.kron(rep_in.unitary(g).conj(), rep_out.unitary(g))
         moved = u @ f.choi @ mat_dagger(u)
@@ -278,7 +280,7 @@ class NoSignallingVerdict:
         return out
 
 
-def _matches_identity_product(choi, dims, eye_positions, tol):
+def _matches_identity_product(choi, dims, eye_positions):
     """Does choi factor as 1 on eye_positions (x) residue/dim elsewhere?
 
     Returns (residual, residue as a matrix on the kept positions).
@@ -304,7 +306,7 @@ def _marginal(f, dims, traced, eyes, law, tol, notes):
     """
     keep = [i for i in range(len(dims)) if i not in traced]
     g = partial_trace(f.choi, dims, keep)
-    res, mat = _matches_identity_product(g, [dims[i] for i in keep], [keep.index(i) for i in eyes], tol)
+    res, mat = _matches_identity_product(g, [dims[i] for i in keep], [keep.index(i) for i in eyes])
     retro = law == "retrocausal"
     note = ("extracted retro part does not preserve the noise state" if retro
             else "extracted causal part is not trace preserving")

@@ -161,22 +161,31 @@ def factors_in_order(a, dims, order):
 _EINSUM_MAX_LOOP = 512
 
 
+def _sum_repeated(t, labels, other, out):
+    """``t`` with each label it holds more than once cut to its diagonal, which is summed
+    unless ``other`` or ``out`` holds the label too, and the labels left, each once."""
+    if len(set(labels)) == len(labels):
+        return t, labels
+    kept = [l for l in dict.fromkeys(labels) if l in other or l in out or labels.count(l) == 1]
+    return contract(t, labels, kept), kept
+
+
 def contract(*operands):
     """``np.einsum(a, la, out)`` or ``np.einsum(a, la, b, lb, out)``, any hashable labels.
 
     Labels are renumbered on each call, so numpy's limit of 52 subscripts
-    bounds the legs of one call, never a whole network. A pair that uses each
-    label once per operand and keeps exactly the unshared ones runs as one
-    matrix product when its loop exceeds ``_EINSUM_MAX_LOOP``.
+    bounds the legs of one call, never a whole network. A pair whose loop exceeds
+    ``_EINSUM_MAX_LOOP`` first sums each label one operand holds twice (a self-loop),
+    and runs as one matrix product if it then keeps exactly its unshared labels.
     """
     *pairs, out = operands
     if len(pairs) == 4 and pairs[0].size * pairs[2].size > _EINSUM_MAX_LOOP:  # else no loop exceeds it
-        a, la, b, lb = pairs
-        la, lb = list(la), list(lb)
+        a, la = _sum_repeated(pairs[0], list(pairs[1]), pairs[3], out)
+        b, lb = _sum_repeated(pairs[2], list(pairs[3]), la, out)
+        pairs = [a, la, b, lb]  # what was summed is not summed again below
         sa, sb = set(la), set(lb)
         dims = dict(zip(la, a.shape))
-        plain = (len(sa) == len(la) and len(sb) == len(lb)
-                 and len(set(out)) == len(out) and set(out) == sa ^ sb
+        plain = (len(set(out)) == len(out) and set(out) == sa ^ sb
                  and all(dims.setdefault(l, d) == d for l, d in zip(lb, b.shape)))
         if plain and prod(dims.values()) > _EINSUM_MAX_LOOP:
             shared = [l for l in la if l in sb]

@@ -318,6 +318,25 @@ def test_check_with_one_rep_file_exit_2(tmp_path, capsys, prop, theory, flag):
     assert (code, out, err) == (1, f"check {prop} p in {theory}: fail{detail}\n", "")
 
 
+# Z3 and Z2, each acting trivially on a qubit
+Z3_TRIVIAL = "3 0\n0 1 2\n1 2 0\n2 0 1\n2\n1 0 0 1\n1 0 0 1\n1 0 0 1\n"
+Z2_TRIVIAL = "2 0\n0 1\n1 0\n2\n1 0 0 1\n1 0 0 1\n"
+
+
+@pytest.mark.parametrize("prop, theory", [("member", "qpart"), ("intertwiner", "qcalc")])
+@pytest.mark.parametrize("rep_in, rep_out", [(Z3_TRIVIAL, Z2_TRIVIAL), (Z2_TRIVIAL, Z3_TRIVIAL)],
+                         ids=["Z3-in-Z2-out", "Z2-in-Z3-out"])
+def test_check_rep_files_of_different_groups_exit_2(tmp_path, capsys, prop, theory, rep_in, rep_out):
+    (tmp_path / "in.grp").write_text(rep_in)
+    (tmp_path / "out.grp").write_text(rep_out)
+    p = tmp_path / "id.pd"
+    p.write_text(f"system q = Q(2)\nbox p : q -> q = id\ncheck {prop} p in {theory}\n")
+    code, out, err = run(capsys, "check", p, "--rep-in", tmp_path / "in.grp", "--rep-out", tmp_path / "out.grp")
+    assert (code, out, err) == (2, "", f"check {prop} p in {theory}: rep_in and rep_out represent different groups\n")
+    code, out, err = run(capsys, "check", p, "--rep-in", tmp_path / "in.grp", "--rep-out", tmp_path / "in.grp")
+    assert (code, out, err) == (0, f"check {prop} p in {theory}: pass\n", "")
+
+
 def test_check_rep_of_wrong_size_exit_2(tmp_path, capsys):
     p = tmp_path / "qpart_member.pd"
     p.write_text(QPART_FILE.format(entries="1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1"))

@@ -1,4 +1,5 @@
 import re
+from math import prod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from proctheory import diagram as D
 from proctheory import groups as G
+from proctheory import higher_order as HO
 from proctheory import processes as P
-from proctheory.numerics import Tolerances, partial_trace
-from proctheory.systems import C, Q
+from proctheory.numerics import Tolerances, factors_in_order, partial_trace
+from proctheory.systems import C, Q, SystemType
 
 GOOD = Path(__file__).parent / "data" / "pd" / "good"
 BAD = Path(__file__).parent / "data" / "pd" / "bad"
@@ -727,6 +729,93 @@ def test_self_loop_traces_node():
     assert val.value == pytest.approx(9.0)  # doubled loop on Q(3)
 
 
+def traced_loop(f):
+    """``f`` with its last output wired back into its last input, as a dense oracle: the Choi
+    operator times the unnormalised projector onto sum_i |ii> on those two factors, traced
+    out there."""
+    dims = list(f.input.dims) + list(f.output.dims)
+    i, o = len(f.input.dims) - 1, len(dims) - 1
+    rest = [k for k in range(len(dims)) if k not in (i, o)]
+    d = dims[i]
+    phi = np.eye(d).reshape(d * d, 1)
+    pair = factors_in_order(np.kron(phi @ phi.T, np.eye(prod(dims) // (d * d))), dims, [i, o] + rest)
+    mat = partial_trace(f.choi @ pair, dims, rest)
+    return P.ProcessTensor(SystemType(f.input.factors[:-1]), SystemType(f.output.factors[:-1]), mat)
+
+
+SELF_LOOPS = """
+system q = Q(2)
+system r = Q(3)
+box f : q -> q = id
+box g : q -> q = id
+box h : q -> q = id
+box l : q * r -> q * r = id
+box ll : q * r * q -> q * r * q = id
+diagram Middle {
+  node a : f
+  node b : g
+  node c : h
+  node n : l
+  wire bound.in[0] -> a.in[0]
+  wire a.out[0] -> b.in[0]
+  wire b.out[0] -> n.in[0]
+  wire n.out[1] -> n.in[1]
+  wire n.out[0] -> c.in[0]
+  wire c.out[0] -> bound.out[0]
+}
+diagram Last {
+  node n : l
+  node a : f
+  node b : g
+  wire n.out[0] -> bound.out[1]
+  wire bound.in[0] -> a.in[0]
+  wire n.out[1] -> n.in[1]
+  wire a.out[0] -> b.in[0]
+  wire bound.in[1] -> n.in[0]
+  wire b.out[0] -> bound.out[0]
+}
+diagram Twice {
+  node a : f
+  node n : ll
+  node b : g
+  wire n.out[2] -> n.in[2]
+  wire bound.in[0] -> a.in[0]
+  wire a.out[0] -> n.in[0]
+  wire n.out[1] -> n.in[1]
+  wire n.out[0] -> b.in[0]
+  wire b.out[0] -> bound.out[0]
+}
+"""
+
+
+def self_loop_cases(rng):
+    """(diagram, env, dense value, the loop node's index, the greedy plan's step that first
+    merges it) for a self-loop node merged mid-plan, one merged last and one with two loops."""
+    pf = D.parse(SELF_LOOPS)
+    env = {name: P.random_cp(rng, box.s_in, box.s_out) for name, box in pf.boxes.items()}
+    f, g, h, l, ll = (env[name] for name in ("f", "g", "h", "l", "ll"))
+    middle = P.compose_seq(h, P.compose_seq(traced_loop(l), P.compose_seq(g, f)))
+    last = P.compose_par(P.compose_seq(g, f), traced_loop(l))
+    # ll's loops are its last two factors: the third wires back first, then the second
+    twice_ll = traced_loop(traced_loop(ll))
+    return [(pf.diagrams["Middle"], env, middle, 3, 1), (pf.diagrams["Last"], env, last, 0, 1),
+            (pf.diagrams["Twice"], env, P.compose_seq(g, P.compose_seq(twice_ll, f)), 1, 0)]
+
+
+def test_self_loops_are_summed_inside_merges():
+    """A self-loop's labels are summed by the first merge that meets its node, wherever that
+    falls in the plan, and the value matches the dense oracle under any merge order."""
+    for dg, env, oracle, node, step in self_loop_cases(np.random.default_rng(41)):
+        assert D.typecheck(dg, compact=True) == [], dg.name
+        greedy = D.plan(dg)
+        assert next(k for k, (i, j, _) in enumerate(greedy.steps) if node in (i, j)) == step, dg.name
+        plans = [greedy] + [D.random_plan(dg, np.random.default_rng(seed)) for seed in (1, 2, 3)]
+        for cplan in plans:
+            value = D.evaluate(dg, env, contraction=cplan)
+            assert value.input.same_carrier(oracle.input) and value.output.same_carrier(oracle.output)
+            assert np.abs(value.choi - oracle.choi).max() <= 1e-12 * max(1.0, np.abs(oracle.choi).max())
+
+
 def test_good_corpus_typechecks_and_evaluates():
     files = sorted(GOOD.glob("*.pd"))
     assert len(files) >= 10
@@ -787,6 +876,36 @@ def test_closed_diagram_is_the_partial_trace_of_the_full_value():
             seen += 1
         assert (list(dg.nodes), dg.wires) == (nodes, wires), label
     assert seen == 2 * 16
+
+
+def test_evaluate_contracts_only_along_its_plan(monkeypatch):
+    """Each ``contract`` call of ``evaluate`` on a diagram of two or more nodes is a merge of its
+    plan: no pass sums self-loops before the merges, and none reorders the boundary after them."""
+    calls, plugged = [], []
+    contract, evaluate = D.contract, D.evaluate
+
+    def counting_contract(*operands):
+        calls.append(len(operands))
+        return contract(*operands)
+
+    def recording_evaluate(dg, env, *rest):
+        plugged.append((dg, env))
+        return evaluate(dg, env, *rest)
+
+    monkeypatch.setattr(D, "contract", counting_contract)
+    monkeypatch.setattr(D, "evaluate", recording_evaluate)
+    w = HO.realize_process_matrix(HO.ordered_process_channel(Q(2), Q(2), Q(2)), ("past", "a-out", "b-out"),
+                                  ("a-in", "b-in", "future"))
+    rng = np.random.default_rng(43)
+    HO.apply_process_matrix(w, P.random_cptp(rng, Q(2), Q(2) * Q(3)), P.random_cptp(rng, Q(2) * Q(3), Q(2)))
+    assert [dg.name for dg, _ in plugged] == ["plug"]
+    cases = [(label, dg, env) for label, dg, env in closing_cases() if len(dg.nodes) >= 2]
+    cases += [(dg.name, dg, env) for dg, env, *_ in self_loop_cases(rng)] + [("plug", *plugged[0])]
+    assert len(cases) == 13
+    for label, dg, env in cases:
+        calls.clear()
+        evaluate(dg, env)
+        assert calls == [5] * len(D.plan(dg).steps) and calls, label
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,22 @@ class TestIntertwiners:
         comp = compose_seq(deph, deph)
         assert G.is_intertwiner(comp, z2_sign_rep(), z2_sign_rep())
 
+    def test_representations_of_different_groups_rejected(self):
+        """Both representations must share one Cayley table: Z3 against Z2 in either order, and
+        Z4 against the Klein group, both of order 4, are refused before any element is tried."""
+        ident = P.identity(Q(2))
+        klein = G.FiniteGroup(4, np.bitwise_xor.outer(np.arange(4), np.arange(4)), 0)
+        assert G.validate_group(klein) == []
+        z3, z2, z4, v4 = (G.trivial_rep(g, Q(2)) for g in (G.cyclic_group(3), G.cyclic_group(2),
+                                                         G.cyclic_group(4), klein))
+        for rep_in, rep_out in ((z3, z2), (z2, z3), (z4, v4), (v4, z4)):
+            with pytest.raises(ValueError, match="^rep_in and rep_out represent different groups$"):
+                G.is_intertwiner(ident, rep_in, rep_out)
+            with pytest.raises(ValueError, match="^rep_in and rep_out represent different groups$"):
+                G.qpart_membership(ident, rep_in, rep_out)
+        # equal tables in two group objects are one group
+        assert G.is_intertwiner(ident, z2, G.trivial_rep(G.cyclic_group(2), Q(2)))
+
 
 def pr_box():
     """Party A on causal wires (x in, a out), party B on retro wires (b in, y out)."""

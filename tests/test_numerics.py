@@ -180,14 +180,19 @@ def close_rel(got, want, rel=1e-12):
 def labelled_pairs(draw):
     """Two tensors over up to 8 labels of dim 1-4, and an output list.
 
-    Each label sits on a, b or both; the output is mostly the unshared labels
-    in a random order, else (einsum's other cases) any subset of the labels.
+    Each label sits on a, b or both, and up to two of a's labels and one of
+    b's sit there twice; the output is mostly the unshared labels in a random
+    order, else (einsum's other cases) any subset of the labels.
     """
     n = draw(st.integers(0, 8))
     dims = draw(st.lists(st.integers(1, 4) | st.integers(3, 4), min_size=n, max_size=n))
     where = draw(st.lists(st.sampled_from(["a", "b", "ab"]), min_size=n, max_size=n))
-    la = draw(st.permutations([i for i in range(n) if "a" in where[i]]))
-    lb = draw(st.permutations([i for i in range(n) if "b" in where[i]]))
+    la = [i for i in range(n) if "a" in where[i]]
+    lb = [i for i in range(n) if "b" in where[i]]
+    # a label an operand holds twice: summed there (a self-loop), or a diagonal where the
+    # other operand or the output holds it too
+    la = draw(st.permutations(la + draw(st.lists(st.sampled_from(la), max_size=2, unique=True)) if la else []))
+    lb = draw(st.permutations(lb + draw(st.lists(st.sampled_from(lb), max_size=1)) if lb else []))
     free = [i for i in range(n) if where[i] != "ab"]
     keep = draw(st.sampled_from(["free", "free", "free", "other"]))
     out = free if keep == "free" else draw(st.lists(st.sampled_from(range(n)), unique=True)) if n else []
@@ -229,6 +234,33 @@ def test_contract_dispatches_on_size(monkeypatch, d, by_einsum):
     assert bool(calls) == by_einsum
     assert close_rel(got, real("abAB,cdCD->acbdACBD", f, g))
     assert numerics._EINSUM_MAX_LOOP == 512
+
+
+@pytest.mark.parametrize("d, einsum_operands", [(2, [1, 2]), (3, [1])])
+def test_contract_sums_a_self_loop_before_the_pair(monkeypatch, d, einsum_operands):
+    """compose_seq's pattern with a self-loop on the first operand (x and X twice): the loop is
+    summed inside that operand first, so the pair runs as one matrix product at d = 3 (729
+    entries) and as one more einsum at d = 2 (64), never as one einsum over all 12 labels."""
+    rng = np.random.default_rng(d)
+    f = rand_complex(rng, d**4, d**4).reshape((d,) * 8)
+    g = rand_complex(rng, d**2, d**2).reshape((d,) * 4)
+    want = np.einsum("axbxAXBX,bcBC->acAC", f, g)
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(len(args) // 2) or real(*args, **kw))
+    got = contract(f, "axbxAXBX", g, "bcBC", "acAC")
+    assert calls == einsum_operands
+    assert close_rel(got, want)
+
+
+def test_contract_keeps_a_repeated_label_the_other_operand_and_output_hold():
+    """x sits twice on f and once on g and in the output, so einsum takes f's diagonal in x and
+    sums nothing over it: summing it inside f would leave a pair that looks plain."""
+    rng = np.random.default_rng(18)
+    f = rand_complex(rng, 3**3, 3**3).reshape((3,) * 6)
+    g = rand_complex(rng, 3**2, 3**2).reshape((3,) * 4)
+    got = contract(f, "axbxAB", g, "bBxc", "aAxc")
+    assert close_rel(got, np.einsum("axbxAB,bBxc->aAxc", f, g))
 
 
 @pytest.mark.parametrize("d", [2, 4])
