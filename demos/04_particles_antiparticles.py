@@ -6,7 +6,7 @@ import numpy as np
 
 from proctheory.groups import (
     Representation, conjugate_rep, cyclic_group, is_intertwiner,
-    no_signalling, qpart_membership, s3_standard_representation,
+    no_signalling, s3_standard_representation,
     symmetric_group_s3, tensor_rep, trivial_rep, validate_group,
     validate_representation,
 )
@@ -15,6 +15,7 @@ from proctheory.processes import (
     compose_par, cup, dagger_h, random_cptp, random_unitary,
 )
 from proctheory.systems import C, DOWN, Q, SystemType
+from proctheory.theories import QPART, membership
 
 rng = np.random.default_rng(3)
 
@@ -73,9 +74,9 @@ for x in range(2):
                 if a ^ b == x & y:
                     kern[a * 2 + y, x * 2 + b] = 0.5
 pr = classical_channel(kern, C(2) * C(2, DOWN), C(2) * C(2, DOWN))
-print("PR box is a member:      ", qpart_membership(pr).ok)
+print("PR box is a member:      ", membership(QPART, pr).ok)
 
 # membership = completely positive + intertwiner + no-signalling both ways
 u = channel_from_unitary(random_unitary(rng, 2), Q(2))
-print("unitary channel member:  ", qpart_membership(u).ok)
-print("bare cup is not:         ", qpart_membership(cup(Q(2))).reasons)
+print("unitary channel member:  ", membership(QPART, u).ok)
+print("bare cup is not:         ", membership(QPART, cup(Q(2))).reasons)

@@ -57,7 +57,6 @@ from .groups import (
     cyclic_group,
     is_intertwiner,
     no_signalling,
-    qpart_membership,
     symmetric_group_s3,
     tensor_rep,
     trivial_rep,

@@ -137,9 +137,6 @@ def cmd_eval(args):
     return _each_diagram(args, theory_by_name(args.theory), _print_process)
 
 
-# directives may also name qpart (particles/antiparticles): it wires like qcalc
-_QPART = theories.Theory("qpart", compact=True)
-_DIRECTIVE_THEORIES = {**THEORIES, _QPART.name: _QPART}
 CHECK_PROPS = (*LAWS, "member", "intertwiner", "nosignalling")
 
 
@@ -150,19 +147,17 @@ def _judge(prop, theory, f, rep_in, rep_out, tol):
     if prop == "nosignalling":
         verdict = groups.no_signalling(f, tol=tol)
         return verdict.ok, "" if verdict.ok else f" (signalling: {', '.join(verdict.failed_directions())})"
-    if prop == "member" and theory is not _QPART:
-        verdict = membership(theory, f, tol)
-        return verdict.ok, "" if verdict.ok else f" ({verdict})"
+    if prop == "member" and not theory.covariant:  # rep files bear only on covariant theories
+        rep_in = rep_out = None
     if (rep_in is None) != (rep_out is None) or (prop == "intertwiner" and rep_in is None):
         return None, "supply --rep-in and --rep-out files"
-    ri = ro = None  # the loaded representations, moved onto f's input and output
     try:
-        if rep_in:
-            ri = groups.Representation(rep_in.group, f.input, rep_in.action)
-            ro = groups.Representation(rep_out.group, f.output, rep_out.action)
+        if rep_in:  # the loaded representations, moved onto f's input and output
+            rep_in = groups.Representation(rep_in.group, f.input, rep_in.action)
+            rep_out = groups.Representation(rep_out.group, f.output, rep_out.action)
         if prop == "intertwiner":
-            return groups.is_intertwiner(f, ri, ro, tol), ""
-        verdict = groups.qpart_membership(f, ri, ro, tol=tol)
+            return groups.is_intertwiner(f, rep_in, rep_out, tol), ""
+        verdict = membership(theory, f, tol, rep_in, rep_out)
     except ValueError as exc:  # the rep files do not fit f, or represent different groups
         return None, str(exc)
     return verdict.ok, "" if verdict.ok else f" ({verdict})"
@@ -191,10 +186,10 @@ def cmd_check(args):
         if directive.prop not in CHECK_PROPS:
             print(f"{label}: unknown property {directive.prop!r}", file=sys.stderr)
             return EXIT_UNKNOWN_PROP
-        theory = _DIRECTIVE_THEORIES.get(directive.theory.lower())
-        if theory is None:
-            print(f"{label}: unknown theory {directive.theory!r}; "
-                  f"expected one of {sorted(_DIRECTIVE_THEORIES)}", file=sys.stderr)
+        try:
+            theory = theory_by_name(directive.theory)
+        except KeyError as exc:
+            print(f"{label}: {exc.args[0]}", file=sys.stderr)
             return EXIT_PARSE
         f = (_compile(parsed, env, directive.target, theory, args, memo, sides[directive.target])
              if directive.target in parsed.diagrams else env[directive.target])

@@ -11,9 +11,9 @@ A boundary factor oriented up is causal (forward in time) and one oriented
 down (``dual``) is retrocausal; the orientation is the only record of time
 direction. A process is no-signalling when discarding its causal outputs
 disconnects it from the causal inputs, and symmetrically when noise-feeding
-its retrocausal inputs disconnects the retrocausal outputs. Membership in
-the particle/antiparticle theory is completely positive + intertwiner +
-no-signalling in both directions.
+its retrocausal inputs disconnects the retrocausal outputs. The two
+directions, and the intertwiner, are the laws of the particle/antiparticle
+row ``qpart`` of ``theories.THEORIES``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .numerics import (
 )
 from .processes import ProcessTensor, obeys
 from .systems import CLASSICAL, DOWN, QUANTUM, Q, SystemType
-from .theories import MembershipVerdict
 
 __all__ = [
     "FiniteGroup",
@@ -45,8 +44,8 @@ __all__ = [
     "conjugate_rep",
     "is_intertwiner",
     "NoSignallingVerdict",
+    "no_signalling_part",
     "no_signalling",
-    "qpart_membership",
     "load_representation",
     "parse_representation",
 ]
@@ -296,26 +295,33 @@ def _sub_system(s: SystemType, retro):
     return SystemType(tuple(fac for fac in s.factors if (fac.orientation == DOWN) == retro))
 
 
-def _marginal(f, dims, traced, eyes, law, tol, notes):
-    """One no-signalling direction: trace out ``traced``, require the rest to
-    be 1 on ``eyes`` tensored with a residue, and read the residue as the
-    retro (or causal) part, which must obey ``law``: ``retrocausal`` (or ``causal``).
-    The part, a partial trace of ``f``, is a process by construction: built unchecked.
+def no_signalling_part(f: ProcessTensor, law, tol: Tolerances = DEFAULT_TOL):
+    """One no-signalling direction, named by the law its extracted part must obey.
 
-    Returns (ok, residual, the part when ok else None); failures add notes.
+    ``retrocausal`` (causal->retro): trace out the causal outputs, require the rest to be
+    1 on the causal inputs tensored with a residue, and read the residue as the retro part.
+    ``causal`` (retro->causal): the same with the retro inputs traced and 1 on the retro
+    outputs. The part, a partial trace of ``f``, is a process by construction: built
+    unchecked. On a purely causal (retrocausal) boundary the ``causal`` (``retrocausal``)
+    direction traces nothing and judges ``f`` itself by its law.
+
+    Returns (ok, residual, the part when ok else None, a note when the part breaks ``law``).
     """
+    retro = law == "retrocausal"
+    factors, n_in = f.input.factors + f.output.factors, len(f.input.factors)
+    dims = [fac.dim for fac in factors]
+    other = [i for i, fac in enumerate(factors) if (fac.orientation == DOWN) != retro]
+    traced = [i for i in other if (i >= n_in) == retro]
+    eyes = [i for i in other if (i >= n_in) != retro]
     keep = [i for i in range(len(dims)) if i not in traced]
     g = partial_trace(f.choi, dims, keep)
     res, mat = _matches_identity_product(g, [dims[i] for i in keep], [keep.index(i) for i in eyes])
-    retro = law == "retrocausal"
-    note = ("extracted retro part does not preserve the noise state" if retro
-            else "extracted causal part is not trace preserving")
     part = ProcessTensor._trusted(_sub_system(f.input, retro), _sub_system(f.output, retro), mat)
     if not obeys(law, part, tol):
-        notes.append(note)
-        return False, res, None
+        return False, res, None, ("extracted retro part does not preserve the noise state" if retro
+                                  else "extracted causal part is not trace preserving")
     ok = res <= tol.eq_rel
-    return ok, res, part if ok else None
+    return ok, res, part if ok else None, None
 
 
 def no_signalling(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
@@ -327,44 +333,10 @@ def no_signalling(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     Retro->causal: feeding noise into all retro inputs must leave a causal
     process F_c on the causal wires tensored with noise on the retro outputs.
     """
-    retro = [fac.orientation == DOWN for fac in f.input.factors + f.output.factors]
-    n_in = len(f.input.factors)
-    dims = list(f.input.dims) + list(f.output.dims)
-    c_in = [i for i in range(n_in) if not retro[i]]
-    r_in = [i for i in range(n_in) if retro[i]]
-    c_out = [i for i in range(n_in, len(dims)) if not retro[i]]
-    r_out = [i for i in range(n_in, len(dims)) if retro[i]]
-    notes = []
-    # causal -> retro: discard the causal outputs, leaving 1 on the causal inputs
-    ok_cr, res_cr, fr = _marginal(f, dims, c_out, c_in, "retrocausal", tol, notes)
-    # retro -> causal: noise into the retro inputs, leaving 1 on the retro outputs
-    ok_rc, res_rc, fc = _marginal(f, dims, r_in, r_out, "causal", tol, notes)
+    ok_cr, res_cr, fr, note_cr = no_signalling_part(f, "retrocausal", tol)
+    ok_rc, res_rc, fc, note_rc = no_signalling_part(f, "causal", tol)
+    notes = [note for note in (note_cr, note_rc) if note]
     return NoSignallingVerdict(ok_cr and ok_rc, ok_cr, ok_rc, res_cr, res_rc, fc, fr, notes)
-
-
-def qpart_membership(
-    f: ProcessTensor,
-    rep_in: Representation | None = None,
-    rep_out: Representation | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-):
-    """Particle/antiparticle theory membership: CP + intertwiner + no-signalling.
-
-    Without representations the symmetry check is skipped (trivial group).
-    The parts ``no_signalling`` extracts are built unchecked. On a purely causal
-    (retrocausal) boundary one direction traces nothing and judges ``f`` itself
-    by the causal (retrocausal) law, so no separate check is needed.
-    """
-    checks = {"cp": True}  # ProcessTensor construction enforces complete positivity
-    if rep_in is not None or rep_out is not None:
-        if rep_in is None or rep_out is None:
-            raise ValueError("supply both rep_in and rep_out, or neither")
-        checks["intertwiner"] = is_intertwiner(f, rep_in, rep_out, tol)
-    ns = no_signalling(f, tol)
-    checks["no-signalling-causal-retro"] = ns.causal_to_retro
-    checks["no-signalling-retro-causal"] = ns.retro_to_causal
-    reasons = [k for k, v in checks.items() if not v]
-    return MembershipVerdict(not reasons, "qpart", checks, reasons, ns=ns)
 
 
 # ---------------------------------------------------------------------------

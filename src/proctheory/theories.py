@@ -2,11 +2,14 @@
 
 A theory is data: a name, whether its wires may bend (cups and caps), and
 the laws its processes obey beyond complete positivity, each a named
-predicate. The six rows are the physical theory of channels (discard
+predicate. The seven rows are the physical theory of channels (discard
 preserving), its unital subtheory with a rescaled dagger, the calculational
 supertheory of all CP maps, the renormalised bullet theory (Oreshkov & Cerf,
-Nature Physics 11, 853, 2015), the scalar quotient, and the noise-restricted
-deterministic theory. ``membership`` runs a row's laws in order.
+Nature Physics 11, 853, 2015), the scalar quotient, the noise-restricted
+deterministic theory, and the particle/antiparticle theory, whose processes
+on causal and retrocausal wires are no-signalling both ways and may be asked
+to intertwine a group's representations. ``membership`` runs a row's laws in
+order.
 
 The normalisation functional N(f) = Tr[choi]/dim_in is the single positive
 linear functional the bullet/quotient constructions hinge on: N(identity)=1,
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .groups import is_intertwiner, no_signalling_part
 from .numerics import DEFAULT_TOL, Tolerances, mats_close, max_abs, min_eigenvalue_hermitian
 from .processes import (
     ProcessTensor,
@@ -53,11 +57,16 @@ __all__ = [
 @dataclass(frozen=True)
 class Theory:
     """``compact`` allows cups and caps; ``laws`` are ``(check name,
-    predicate(f, tol))`` pairs that members obey beyond complete positivity."""
+    predicate(f, tol))`` pairs that members obey beyond complete positivity.
+    Members of a ``covariant`` theory, the particle/antiparticle one, also
+    intertwine the representations ``membership`` is given, checked first as
+    ``intertwiner``; its verdicts report no N(f), which does not normalise
+    processes whose wires run backwards in time."""
 
     name: str
     compact: bool
     laws: tuple = ()
+    covariant: bool = False
 
 
 def _is_representative(f: ProcessTensor, tol: Tolerances):
@@ -77,7 +86,12 @@ QCALC_BULLET = Theory("qcalc-bullet", True, (("representative", _is_representati
 QCALC_QUOTIENT = Theory("qcalc-quotient", True)
 QNEUT = Theory("qneut", True, (("strictly-positive", _is_strictly_positive),))
 
-THEORIES = {t.name: t for t in (QPHYS, QPHYS_UNITAL, QCALC, QCALC_BULLET, QCALC_QUOTIENT, QNEUT)}
+QPART = Theory("qpart", True, (
+    ("no-signalling-causal-retro", lambda f, tol: no_signalling_part(f, "retrocausal", tol)[0]),
+    ("no-signalling-retro-causal", lambda f, tol: no_signalling_part(f, "causal", tol)[0]),
+), covariant=True)
+
+THEORIES = {t.name: t for t in (QPHYS, QPHYS_UNITAL, QCALC, QCALC_BULLET, QCALC_QUOTIENT, QNEUT, QPART)}
 
 
 def theory_by_name(name):
@@ -89,14 +103,13 @@ def theory_by_name(name):
 
 @dataclass
 class MembershipVerdict:
-    """Checks by name, in order; ``n_value`` is N(f), ``ns`` the qpart no-signalling verdict."""
+    """Checks by name, in order; ``n_value`` is N(f), or None if the theory reports none."""
 
     ok: bool
     theory: str
     checks: dict = field(default_factory=dict)
     reasons: list = field(default_factory=list)
     n_value: float | None = None
-    ns: object = None
 
     def __str__(self):
         status = "member" if self.ok else "not a member"
@@ -105,12 +118,20 @@ class MembershipVerdict:
         return f"{status} of {self.theory}{extra}{why}"
 
 
-def membership(theory: Theory, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
-    """Evaluate the theory's laws, reporting failed checks by name."""
+def membership(theory: Theory, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL, rep_in=None, rep_out=None):
+    """Evaluate the theory's laws, reporting failed checks by name. A covariant theory
+    given representations on f's input and output checks ``intertwiner`` first; without
+    them the symmetry is not checked (the trivial group). Other theories ignore them."""
+    laws = theory.laws
+    if theory.covariant and (rep_in is not None or rep_out is not None):
+        if rep_in is None or rep_out is None:
+            raise ValueError("supply both rep_in and rep_out, or neither")
+        laws = (("intertwiner", lambda f, tol: is_intertwiner(f, rep_in, rep_out, tol)), *laws)
     # ProcessTensor construction enforces complete positivity
-    checks = {"cp": True, **{name: law(f, tol) for name, law in theory.laws}}
+    checks = {"cp": True, **{name: law(f, tol) for name, law in laws}}
     reasons = [name for name, ok in checks.items() if not ok]
-    return MembershipVerdict(not reasons, theory.name, checks, reasons, normalization_scalar(f).value)
+    n = None if theory.covariant else normalization_scalar(f).value
+    return MembershipVerdict(not reasons, theory.name, checks, reasons, n)
 
 
 def normalization_scalar(f: ProcessTensor):

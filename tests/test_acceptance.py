@@ -227,14 +227,14 @@ def test_criterion_11_qpart():
         f_c = P.random_cptp(rng, Q(2), Q(2))
         f_r = dagger_h(P.random_cptp(rng, Q(2, DOWN), Q(2, DOWN)))
         prod = compose_par(f_c, f_r)
-        vp = G.qpart_membership(prod)
+        vp, ns = T.membership(T.QPART, prod), G.no_signalling(prod)
         assert vp.ok
-        worst = max(worst, float(np.max(np.abs(vp.ns.f_c.choi - f_c.choi))))
-        worst = max(worst, float(np.max(np.abs(vp.ns.f_r.choi - f_r.choi))))
+        worst = max(worst, float(np.max(np.abs(ns.f_c.choi - f_c.choi))))
+        worst = max(worst, float(np.max(np.abs(ns.f_r.choi - f_r.choi))))
         # closure under sequential composition
         g_c = P.random_cptp(rng, Q(2), Q(2))
         g_r = dagger_h(P.random_cptp(rng, Q(2, DOWN), Q(2, DOWN)))
-        assert G.qpart_membership(compose_seq(compose_par(g_c, g_r), prod)).ok
+        assert T.membership(T.QPART, compose_seq(compose_par(g_c, g_r), prod)).ok
     assert worst <= 1e-9
     # PR box instance accepted
     kern = np.zeros((4, 4))
@@ -245,7 +245,7 @@ def test_criterion_11_qpart():
                     if a ^ b == x & y:
                         kern[a * 2 + y, x * 2 + b] = 0.5
     pr = P.classical_channel(kern, C(2) * C(2, DOWN), C(2) * C(2, DOWN))
-    assert G.qpart_membership(pr).ok
+    assert T.membership(T.QPART, pr).ok
     # all closed member diagrams give the scalar 1
     for _ in range(50):
         member = compose_par(

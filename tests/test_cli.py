@@ -381,6 +381,12 @@ def test_malformed_flag_exit_2(argv, env, message, capsys, monkeypatch):
     assert captured.err.splitlines()[-1].startswith(f"proctheory {argv[0]}: error: argument {message}")
 
 
+@pytest.mark.parametrize("path", sorted(GOOD.glob("*.pd")), ids=lambda p: p.name)
+def test_eval_under_qpart_is_eval_under_qcalc(path, capsys):
+    """qpart is a row of the theory table that wires like qcalc: eval prints the same bytes."""
+    assert run(capsys, "eval", path, "--theory", "qpart") == run(capsys, "eval", path, "--theory", "qcalc")
+
+
 def test_theory_name_is_case_insensitive(capsys):
     code, out, err = run(capsys, "eval", GOOD / "loop_qubit.pd", "--theory", "QPHYS")
     assert (code, err) == (0, "") and out == "Loop: scalar 4.0\n"

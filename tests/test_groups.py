@@ -19,6 +19,7 @@ from proctheory.processes import (
     state,
 )
 from proctheory.systems import C, DOWN, Q, SystemType
+from proctheory.theories import QPART, membership
 
 Z = np.diag([1.0, -1.0])
 
@@ -49,6 +50,13 @@ class TestGroups:
         problems = G.validate_group(bad)
         assert any("associativity" in p for p in problems) or any("inverse" in p for p in problems)
 
+    def test_identity_law_is_two_sided(self):
+        # x * y = y: the identity row is right, the identity column is not; associative, with inverses
+        right = G.FiniteGroup(2, np.array([[0, 1], [0, 1]]), 0)
+        assert G.validate_group(right) == ["identity law fails at element 1"]
+        assert G.validate_group(G.FiniteGroup(2, right.table.T, 0)) == ["identity law fails at element 1",
+                                                                          "element 1 has no inverse"]
+
     @pytest.mark.parametrize("identity", [2, 7, -1])
     def test_out_of_range_identity_is_a_violation(self, identity):
         g = G.FiniteGroup(2, G.cyclic_group(2).table, identity)
@@ -75,6 +83,18 @@ class TestRepresentations:
         r = z2_sign_rep()
         rr = G.tensor_rep(r, r)
         assert np.allclose(rr.action[1], np.kron(Z, Z))
+
+    def test_tensor_of_different_groups_rejected(self):
+        """Z3 against Z2, and Z4 against the Klein group of the same order; equal tables in two
+        group objects are one group."""
+        klein = G.FiniteGroup(4, np.bitwise_xor.outer(np.arange(4), np.arange(4)), 0)
+        z3, z2, z4, v4 = (G.trivial_rep(g, Q(2)) for g in (G.cyclic_group(3), G.cyclic_group(2),
+                                                         G.cyclic_group(4), klein))
+        for a, b in ((z3, z2), (z2, z3), (z4, v4), (v4, z4)):
+            with pytest.raises(ValueError, match="^cannot tensor representations of different groups$"):
+                G.tensor_rep(a, b)
+        twin = G.Representation(G.cyclic_group(2), Q(2), (np.eye(2), Z))
+        assert np.array_equal(G.tensor_rep(z2_sign_rep(), twin).action[1], np.kron(Z, Z))
 
     def test_conjugate_rep(self):
         r = z2_sign_rep()
@@ -178,7 +198,7 @@ class TestIntertwiners:
             with pytest.raises(ValueError, match="^rep_in and rep_out represent different groups$"):
                 G.is_intertwiner(ident, rep_in, rep_out)
             with pytest.raises(ValueError, match="^rep_in and rep_out represent different groups$"):
-                G.qpart_membership(ident, rep_in, rep_out)
+                membership(QPART, ident, rep_in=rep_in, rep_out=rep_out)
         # equal tables in two group objects are one group
         assert G.is_intertwiner(ident, z2, G.trivial_rep(G.cyclic_group(2), Q(2)))
 
@@ -252,17 +272,17 @@ class TestNoSignalling:
 class TestQPartMembership:
     def test_unitary_channel_on_causal_wires(self):
         u = channel_from_unitary(P.random_unitary(np.random.default_rng(4), 2), Q(2))
-        verdict = G.qpart_membership(u, z2_sign_rep(), z2_sign_rep())
+        verdict = membership(QPART, u, rep_in=z2_sign_rep(), rep_out=z2_sign_rep())
         # the unitary must also intertwine; use the depolarizing channel instead
         depol = P.ProcessTensor(Q(2), Q(2), np.eye(4) / 2)
-        verdict2 = G.qpart_membership(depol, z2_sign_rep(), z2_sign_rep())
+        verdict2 = membership(QPART, depol, rep_in=z2_sign_rep(), rep_out=z2_sign_rep())
         assert verdict2.ok
-        assert G.qpart_membership(u).ok  # no symmetry demanded
+        assert membership(QPART, u).ok  # no symmetry demanded
 
     def test_cup_counterexample(self):
-        v = G.qpart_membership(cup(Q(2)))
+        v, ns = membership(QPART, cup(Q(2))), G.no_signalling(cup(Q(2)))
         assert not v.ok
-        assert v.ns.causal_to_retro and not v.ns.retro_to_causal
+        assert ns.causal_to_retro and not ns.retro_to_causal
         # closing it with the cap gives a scalar other than the empty diagram
         loop = P.as_scalar(compose_seq(cap(Q(2)), cup(Q(2))))
         assert loop.value != pytest.approx(1.0)
@@ -273,18 +293,18 @@ class TestQPartMembership:
                         dagger_h(P.random_cptp(rng, Q(3, DOWN), Q(2, DOWN))))
         g = compose_par(P.random_cptp(rng, Q(2), Q(4)),
                         dagger_h(P.random_cptp(rng, Q(2, DOWN), Q(3, DOWN))))
-        assert G.qpart_membership(f).ok and G.qpart_membership(g).ok
-        assert G.qpart_membership(compose_seq(g, f)).ok
+        assert membership(QPART, f).ok and membership(QPART, g).ok
+        assert membership(QPART, compose_seq(g, f)).ok
 
     def test_parallel_composite_of_members(self):
         rng = np.random.default_rng(52)
         pairs = [compose_par(P.random_cptp(rng, Q(2), Q(2)),
                              dagger_h(P.random_cptp(rng, Q(2, DOWN), Q(2, DOWN))))
                  for _ in range(2)]
-        assert G.qpart_membership(compose_par(*pairs)).ok
+        assert membership(QPART, compose_par(*pairs)).ok
 
     def test_pr_box_is_member(self):
-        assert G.qpart_membership(pr_box()).ok
+        assert membership(QPART, pr_box()).ok
 
     def test_closed_member_diagrams_give_one(self):
         rng = np.random.default_rng(53)
@@ -303,14 +323,14 @@ class TestQPartMembership:
     def test_purely_causal_member_is_causal(self):
         rng = np.random.default_rng(54)
         e = P.random_cptp(rng, Q(2), Q(3))
-        v = G.qpart_membership(e)
+        v = membership(QPART, e)
         assert v.ok and P.is_causal(e)
         assert list(v.checks) == self.NO_SIGNALLING_CHECKS
 
     def test_purely_retro_member_preserves_noise(self):
         rng = np.random.default_rng(55)
         r = dagger_h(P.random_cptp(rng, Q(2, DOWN), Q(3, DOWN)))
-        v = G.qpart_membership(r)
+        v = membership(QPART, r)
         assert v.ok and P.preserves_identity(r)
         assert list(v.checks) == self.NO_SIGNALLING_CHECKS
 
@@ -319,5 +339,5 @@ class TestQPartMembership:
         # psd_rel=0 admits no rounding; the extracted parts are partial traces and are not re-judged
         rng, strict = np.random.default_rng(56 + d), Tolerances(psd_rel=0)
         for _ in range(100):
-            v = G.qpart_membership(P.random_cptp(rng, Q(d), Q(d)), tol=strict)
+            v = membership(QPART, P.random_cptp(rng, Q(d), Q(d)), tol=strict)
             assert v.ok, v.reasons

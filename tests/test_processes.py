@@ -110,6 +110,23 @@ class TestComposePar:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_in, n_out", [(1, 1), (2, 3), (4, 2)])
+    def test_random_stochastic_is_stochastic(self, seed, n_in, n_out):
+        k = P.random_stochastic(np.random.default_rng(seed), n_in, n_out)
+        assert k.shape == (n_out, n_in) and (k >= 0).all()
+        assert np.allclose(k.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (3, 2), (4, 4)])
+    def test_random_povm_is_a_povm(self, seed, d, n):
+        povm = P.random_povm(np.random.default_rng(seed), d, n)
+        assert len(povm) == n
+        for e in povm:
+            assert np.allclose(e, e.conj().T, rtol=0, atol=1e-12)
+            assert np.linalg.eigvalsh(e).min() >= -1e-12
+        assert np.allclose(sum(povm), np.eye(d), rtol=0, atol=1e-10)
+
     def test_discard_is_trace(self):
         assert as_scalar(compose_seq(discard(Q(2)), state(np.diag([0.3, 0.7]), Q(2)))).value == pytest.approx(1.0)
         assert as_scalar(discard(TRIVIAL)).value == pytest.approx(1.0)

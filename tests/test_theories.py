@@ -67,6 +67,7 @@ class TestMembership:
         "qcalc-bullet": ["representative"],
         "qcalc-quotient": [],
         "qneut": ["strictly-positive"],
+        "qpart": ["no-signalling-causal-retro", "no-signalling-retro-causal"],
     }
 
     def test_laws_table_covers_every_theory(self):
@@ -78,17 +79,29 @@ class TestMembership:
             verdict = T.membership(T.theory_by_name(name), f)
             assert list(verdict.checks) == ["cp", *laws]
             assert verdict.reasons == [k for k, ok in verdict.checks.items() if not ok]
-            assert verdict.n_value == pytest.approx(T.normalization_scalar(f).value)
+            n = T.normalization_scalar(f).value
+            assert verdict.n_value == (pytest.approx(n) if name != "qpart" else None)  # qpart reports no N
 
     def test_qpart_membership_is_a_membership_verdict(self):
         member = compose_par(discard(Q(2)), noise_state(Q(2, DOWN)))
-        verdict = G.qpart_membership(member)
+        verdict = T.membership(T.QPART, member)
         assert isinstance(verdict, T.MembershipVerdict)
-        assert isinstance(verdict.ns, G.NoSignallingVerdict) and verdict.ns.ok
+        assert isinstance(G.no_signalling(member), G.NoSignallingVerdict) and G.no_signalling(member).ok
         assert (verdict.ok, verdict.theory, verdict.n_value) == (True, "qpart", None)
         assert str(verdict) == "member of qpart"
-        signalling = G.qpart_membership(bend_identity())
-        assert not signalling.ns.ok and str(signalling).startswith("not a member of qpart: failed ")
+        signalling = T.membership(T.QPART, bend_identity())
+        assert not G.no_signalling(bend_identity()).ok and str(signalling).startswith("not a member of qpart: failed ")
+
+    def test_qpart_wants_both_representations_or_neither(self):
+        rep, f = G.trivial_rep(G.cyclic_group(2), Q(2)), identity(Q(2))
+        for one in ({"rep_in": rep}, {"rep_out": rep}):
+            with pytest.raises(ValueError, match="^supply both rep_in and rep_out, or neither$"):
+                T.membership(T.QPART, f, **one)
+            assert list(T.membership(T.QPHYS, f, **one).checks) == ["cp", "causal"]
+        # both: the intertwiner is checked first, and only by the covariant row
+        both = {"rep_in": rep, "rep_out": rep}
+        assert list(T.membership(T.QPART, f, **both).checks) == ["cp", "intertwiner", *self.LAWS["qpart"]]
+        assert list(T.membership(T.QPHYS, f, **both).checks) == ["cp", "causal"]
 
     def test_qneut_wants_full_support(self):
         assert not T.membership(T.QNEUT, state(np.diag([1.0, 0.0]), Q(2))).ok
@@ -166,6 +179,14 @@ class TestQuotient:
         a = T.canonical_rep(state(np.diag([1.0, 0.0]), Q(2)))
         b = T.canonical_rep(state(np.diag([0.0, 1.0]), Q(2)))
         assert not T.class_equal(a, b)
+
+    def test_equal_matrices_on_different_carriers_are_different_classes(self):
+        rho = np.diag([0.75, 0.25])
+        for make in (state, effect):  # the carriers differ on the output, then on the input
+            a, b = T.canonical_rep(make(rho, Q(2))), T.canonical_rep(make(rho, C(2)))
+            assert np.array_equal(a.canonical.choi, b.canonical.choi)
+            assert not T.class_equal(a, b) and not T.class_equal(b, a)
+            assert T.class_equal(a, T.canonical_rep(make(rho, Q(2))))
 
     def test_quotient_compose_well_defined(self):
         rng = np.random.default_rng(36)
