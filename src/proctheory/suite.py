@@ -107,7 +107,7 @@ def _causality_fixed(rng, dims, tol):
     pairs = [(Q(da), C(db)) for da in dims for db in dims]
     res = max(_diff(discard(a * b).choi, compose_par(discard(a), discard(b)).choi) for a, b in pairs)
     # the unique scalar is the empty diagram
-    return max(res, abs(processes.as_scalar(discard(TRIVIAL)).value - 1.0))
+    return max(res, abs(processes.as_scalar(discard(TRIVIAL), tol).value - 1.0))
 
 
 def _retrocausal_trial(rng, dims, tol, k):
@@ -125,8 +125,8 @@ def _retrocausal_fixed(rng, dims, tol):
 
 
 def _eternal_noise_witness(rng, dims, tol):
-    zero = state(np.diag([1.0, 0.0]), Q(2))
-    one = state(np.diag([0.0, 1.0]), Q(2))
+    zero = state(np.diag([1.0, 0.0]), Q(2), tol)
+    one = state(np.diag([0.0, 1.0]), Q(2), tol)
     res = abs(max_abs(zero.choi - one.choi) - 1.0)
     return res, 1
 
@@ -165,10 +165,10 @@ def _snakes(rng, dims, tol):
 def _loops(rng, dims, tol):
     res = 0.0
     for d in dims:
-        classical = processes.as_scalar(compose_seq(cap(C(d)), cup(C(d)))).value
+        classical = processes.as_scalar(compose_seq(cap(C(d)), cup(C(d))), tol).value
         res = max(res, abs(classical - d))
         # quantum wires are doubled: the closed loop carries the squared dimension
-        quantum = processes.as_scalar(compose_seq(cap(Q(d)), cup(Q(d)))).value
+        quantum = processes.as_scalar(compose_seq(cap(Q(d)), cup(Q(d))), tol).value
         res = max(res, abs(quantum - d * d))
     return res, 2 * len(list(dims))
 
@@ -177,24 +177,24 @@ def _unital_dagger_trial(rng, dims, tol, k):
     d = _rand_dim(rng, dims)
     f = processes.random_mixture_of_unitaries(rng, Q(d))
     g = processes.random_mixture_of_unitaries(rng, Q(d))
-    fd = theories.dagger_unital(f)
+    fd = theories.dagger_unital(f, tol)
     for member in (fd, compose_seq(g, f)):
         if not theories.membership(theories.QPHYS_UNITAL, member, tol).ok:
             return 1.0
-    return _diff(theories.dagger_unital(fd).choi, f.choi)
+    return _diff(theories.dagger_unital(fd, tol).choi, f.choi)
 
 
 def _unital_dagger_fixed(rng, dims, tol):
-    res = _diff(theories.dagger_unital(discard(Q(2))).choi, max_mixed(Q(2)).choi)
+    res = _diff(theories.dagger_unital(discard(Q(2)), tol).choi, max_mixed(Q(2)).choi)
     u = processes.random_unitary(rng, 3)
-    lhs = theories.dagger_unital(processes.channel_from_unitary(u, Q(3))).choi
+    lhs = theories.dagger_unital(processes.channel_from_unitary(u, Q(3)), tol).choi
     res = max(res, _diff(lhs, processes.channel_from_unitary(u.conj().T, Q(3)).choi))
     # classical restriction: bistochastic kernels, row and column sums 1
     for _ in range(10):
         n = _rand_dim(rng, dims)
         k = processes.random_bistochastic(rng, n)
         res = max(res, _diff(k.sum(axis=0), np.ones(n)), _diff(k.sum(axis=1), np.ones(n)))
-        ch = processes.classical_channel(k, C(n), C(n))
+        ch = processes.classical_channel(k, C(n), C(n), tol)
         if not theories.membership(theories.QPHYS_UNITAL, ch, tol).ok:
             return 1.0
     return res
@@ -226,12 +226,12 @@ def _dual_causal_trial(rng, dims, tol, k):
         return 1.0
     # closed member diagram: member state in, member effect out, scalar 1
     t_c = discard(g_c.output)
-    e_r = processes.effect(processes.random_density(rng, g_r.dout), g_r.output)
+    e_r = processes.effect(processes.random_density(rng, g_r.dout), g_r.output, tol)
     closing = compose_par(t_c, e_r)
-    rho_c = state(processes.random_density(rng, f_c.din), f_c.input)
-    rho_r = state(np.eye(f_r.din), f_r.input)
+    rho_c = state(processes.random_density(rng, f_c.din), f_c.input, tol)
+    rho_r = state(np.eye(f_r.din), f_r.input, tol)
     opening = compose_par(rho_c, rho_r)
-    scalar = processes.as_scalar(compose_seq(closing, compose_seq(comp, opening)))
+    scalar = processes.as_scalar(compose_seq(closing, compose_seq(comp, opening)), tol)
     return max(res, abs(scalar.value - 1.0))
 
 
@@ -243,22 +243,22 @@ def _quotient_trial(rng, dims, tol, k):
     r, s = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
     rf = processes.ProcessTensor._trusted(f.input, f.output, r * f.choi)
     sg = processes.ProcessTensor._trusted(g.input, g.output, s * g.choi)
-    ca = theories.canonical_rep(compose_seq(sg, rf))
-    cb = theories.canonical_rep(compose_seq(g, f))
+    ca = theories.canonical_rep(compose_seq(sg, rf), tol)
+    cb = theories.canonical_rep(compose_seq(g, f), tol)
     res = _diff(ca.canonical.choi, cb.canonical.choi)
     # composition of classes through arbitrary representatives
-    cc = theories.quotient_compose(theories.canonical_rep(sg), theories.canonical_rep(rf))
+    cc = theories.quotient_compose(theories.canonical_rep(sg, tol), theories.canonical_rep(rf, tol), tol)
     res = max(res, _diff(cc.canonical.choi, cb.canonical.choi))
     # the dagger descends to the quotient
-    da = theories.canonical_rep(dagger_h(rf))
-    db = theories.class_dagger(theories.canonical_rep(rf))
+    da = theories.canonical_rep(dagger_h(rf), tol)
+    db = theories.class_dagger(theories.canonical_rep(rf, tol), tol)
     res = max(res, _diff(da.canonical.choi, db.canonical.choi))
     # identity acts as the unit under renormalised composition, which
     # snaps any nonzero process back to its representative element
-    fhat = theories.canonical_rep(rf).canonical
-    res = max(res, _diff(theories.bullet_compose(identity(fhat.output), fhat).choi, fhat.choi))
-    res = max(res, _diff(theories.bullet_compose(identity(rf.output), rf).choi, fhat.choi))
-    if not theories.membership(theories.QCALC_BULLET, theories.bullet_compose(sg, rf), tol).ok:
+    fhat = theories.canonical_rep(rf, tol).canonical
+    res = max(res, _diff(theories.bullet_compose(identity(fhat.output), fhat, tol).choi, fhat.choi))
+    res = max(res, _diff(theories.bullet_compose(identity(rf.output), rf, tol).choi, fhat.choi))
+    if not theories.membership(theories.QCALC_BULLET, theories.bullet_compose(sg, rf, tol), tol).ok:
         return 1.0
     return res
 
@@ -268,15 +268,16 @@ def _quotient_fixed(rng, dims, tol):
     for d in dims:
         s_ = Q(d)
         snake = compose_seq(compose_par(cap(s_), identity(s_)), compose_par(identity(s_), cup(s_)))
-        if not theories.class_equal(theories.canonical_rep(snake), theories.canonical_rep(identity(s_))):
+        if not theories.class_equal(theories.canonical_rep(snake, tol), theories.canonical_rep(identity(s_), tol),
+                                    tol):
             return 1.0
     return 0.0
 
 
-def _zero_pair(rng, d):
+def _zero_pair(rng, d, tol):
     """A composable pair whose composite is the zero process."""
-    e = processes.effect(np.diag([0.0] * (d - 1) + [1.0]), Q(d))
-    rho = state(np.diag([1.0] + [0.0] * (d - 1)), Q(d))
+    e = processes.effect(np.diag([0.0] * (d - 1) + [1.0]), Q(d), tol)
+    rho = state(np.diag([1.0] + [0.0] * (d - 1)), Q(d), tol)
     return e, rho
 
 
@@ -289,13 +290,13 @@ def _bullet_equivalence_trial(rng, dims, tol, k):
     f = make(rng, Q(d1), Q(d2))
     g = make(rng, Q(d2), Q(d3))
     h = make(rng, Q(d3), Q(d4))
-    fh = theories.canonical_rep(f).canonical
-    gh = theories.canonical_rep(g).canonical
-    hh = theories.canonical_rep(h).canonical
-    lhs = theories.bullet_compose(gh, fh)
-    rhs = theories.canonical_rep(compose_seq(g, f)).canonical
-    assoc_l = theories.bullet_compose(hh, theories.bullet_compose(gh, fh))
-    assoc_r = theories.bullet_compose(theories.bullet_compose(hh, gh), fh)
+    fh = theories.canonical_rep(f, tol).canonical
+    gh = theories.canonical_rep(g, tol).canonical
+    hh = theories.canonical_rep(h, tol).canonical
+    lhs = theories.bullet_compose(gh, fh, tol)
+    rhs = theories.canonical_rep(compose_seq(g, f), tol).canonical
+    assoc_l = theories.bullet_compose(hh, theories.bullet_compose(gh, fh, tol), tol)
+    assoc_r = theories.bullet_compose(theories.bullet_compose(hh, gh, tol), fh, tol)
     return max(_diff(lhs.choi, rhs.choi), _diff(assoc_l.choi, assoc_r.choi))
 
 
@@ -303,19 +304,19 @@ def _bullet_equivalence_fixed(rng, dims, tol):
     res = 0.0
     # associativity through forced zero branches
     for d in sorted({max(d, 2) for d in dims}):
-        e, rho = _zero_pair(rng, d)
-        lhs = theories.bullet_compose(e, theories.bullet_compose(identity(Q(d)), rho))
-        rhs = theories.bullet_compose(theories.bullet_compose(e, identity(Q(d))), rho)
+        e, rho = _zero_pair(rng, d, tol)
+        lhs = theories.bullet_compose(e, theories.bullet_compose(identity(Q(d)), rho, tol), tol)
+        rhs = theories.bullet_compose(theories.bullet_compose(e, identity(Q(d)), tol), rho, tol)
         res = max(res, _diff(lhs.choi, rhs.choi))
         # a zero composite lands in the zero branch
-        res = max(res, max_abs(theories.bullet_compose(e, rho).choi))
+        res = max(res, max_abs(theories.bullet_compose(e, rho, tol).choi))
     return res
 
 
 def _zero_lemma_trial(rng, dims, tol, k):
     d1, d2 = _rand_dim(rng, dims), _rand_dim(rng, dims)
     f = processes.random_cptp(rng, Q(d1), Q(d2))  # a CPTP map is never zero
-    g = state(np.diag([1.0] + [0.0] * (d1 - 1)), Q(d1))  # rank-deficient but nonzero
+    g = state(np.diag([1.0] + [0.0] * (d1 - 1)), Q(d1), tol)  # rank-deficient but nonzero
     for p in (f, g):
         if theories.normalization_scalar(p).value <= tol.zero_abs:
             return 1.0
@@ -325,7 +326,7 @@ def _zero_lemma_trial(rng, dims, tol, k):
 def _zero_lemma_fixed(rng, dims, tol):
     res = 0.0
     for d in dims:
-        z = processes.ProcessTensor(Q(d), Q(d), np.zeros((d * d, d * d)))
+        z = processes.ProcessTensor(Q(d), Q(d), np.zeros((d * d, d * d)), tol)
         res = max(res, theories.normalization_scalar(z).value, max_abs(z.choi))
     return res
 
@@ -334,20 +335,20 @@ def _noisy_determinism_trial(rng, dims, tol, k):
     d = _rand_dim(rng, dims)
     eps = float(rng.uniform(0.05, 0.9))
     length = int(rng.integers(1, 4))
-    rho = theories.noisy(state(processes.random_density(rng, d), Q(d)), eps)
+    rho = theories.noisy(state(processes.random_density(rng, d), Q(d), tol), eps)
     chain = rho
     for _ in range(length):
         ch = theories.noisy(processes.random_cptp(rng, Q(d), Q(d)), eps)
         chain = compose_seq(ch, chain)
-    eff = theories.noisy(processes.effect(processes.random_density(rng, d), Q(d)), eps)
+    eff = theories.noisy(processes.effect(processes.random_density(rng, d), Q(d), tol), eps)
     closed = compose_seq(eff, chain)
     # disconnected closed wiring in parallel: loops evaluate to positive numbers
     if rng.uniform() < 0.5:
         loop = compose_seq(cap(Q(2)), cup(Q(2)))
         closed = compose_par(closed, loop)
-    if processes.as_scalar(closed).value <= 0.0:
+    if processes.as_scalar(closed, tol).value <= 0.0:
         return 1.0
-    cls = theories.canonical_rep(closed)
+    cls = theories.canonical_rep(closed, tol)
     return _diff(cls.canonical.choi, np.ones((1, 1)))
 
 
@@ -361,7 +362,7 @@ def _process_matrix_trial(rng, dims, tol, k):
     g2 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d) * Q(dm))
     g3 = processes.random_cptp(rng, Q(d) * Q(dm), Q(d))
     wch = higher_order.circuit_form_channel(g1, g2, g3)
-    w = higher_order.realize_process_matrix(wch, _ROLES_IN, _ROLES_OUT)
+    w = higher_order.realize_process_matrix(wch, _ROLES_IN, _ROLES_OUT, tol)
     sw = swap(Q(d), Q(d))
     back = higher_order.apply_process_matrix(w, sw, sw)
     a = processes.random_cptp(rng, Q(d), Q(d))
@@ -382,7 +383,7 @@ def _process_matrix_trial(rng, dims, tol, k):
 def _process_matrix_fixed(rng, dims, tol):
     # the causally ordered process matrix composes its arguments
     wo = higher_order.realize_process_matrix(
-        higher_order.ordered_process_channel(Q(2), Q(2), Q(2)), _ROLES_IN, _ROLES_OUT
+        higher_order.ordered_process_channel(Q(2), Q(2), Q(2)), _ROLES_IN, _ROLES_OUT, tol
     )
     a = processes.random_cptp(rng, Q(2), Q(2))
     b = processes.random_cptp(rng, Q(2), Q(2))

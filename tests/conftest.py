@@ -1,3 +1,10 @@
+import sys
+from pathlib import Path
+
+# benchmarks/gen.py is the one seeded, numpy-only generator of brick, snake-ladder, chain and
+# pair-product diagrams; tests import it as ``gen``, so their oracles never come from proctheory
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
 _acceptance_results = []
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import gen
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -150,6 +151,14 @@ def test_theorems_reproducible(capsys):
     assert len(out1.strip().splitlines()) == 14
 
 
+@pytest.mark.parametrize("dims, trials", [(1, 3), (4, 2)])
+def test_theorems_pass_at_the_smallest_dim_and_a_wide_one(dims, trials, capsys):
+    # d = 1 still runs the zero-branch cases at d = 2; d = 4 draws a 4-dimensional process-matrix memory
+    code, out, err = run(capsys, "theorems", "--dims", dims, "--trials", trials)
+    assert (code, err) == (0, "")
+    assert [line.endswith(" pass=true") for line in out.splitlines()] == [True] * 14
+
+
 def test_quotient_command(capsys):
     code, out, _ = run(capsys, "quotient", GOOD / "loop_qubit.pd")
     assert code == 0
@@ -251,14 +260,8 @@ def test_any_rep_file_exits_0_or_2_with_a_one_line_diagnostic(text, tmp_path, ca
 
 def test_eval_long_chain_file(tmp_path, capsys):
     # maxmix -> 1998 identities -> discard: no planner, recursion or einsum-label limit on the way
-    n = 2000
-    ends = ["a"] + [f"i{k}" for k in range(n - 2)] + ["z"]
-    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box w : q -> q = id",
-             "box tr : q -> = discard", "diagram Chain {", "  node a : mu"]
-    lines += [f"  node i{k} : w" for k in range(n - 2)] + ["  node z : tr"]
-    lines += [f"  wire {x}.out[0] -> {y}.in[0]" for x, y in zip(ends, ends[1:])] + ["}"]
     p = tmp_path / "chain.pd"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text(gen.identity_chain("Chain", 2000).text)
     code, out, err = run(capsys, "eval", p, "--theory", "qphys")
     assert (code, err) == (0, "")
     assert out == "Chain: scalar 1.0\n"
@@ -523,21 +526,17 @@ def test_check_law_on_a_box(prop, box, code, verdict, tmp_path, capsys):
     assert run(capsys, "check", p) == (code, f"check {prop} {box} in qcalc: {verdict}\n", "")
 
 
-def choi_literal(f):
-    """``f``'s Choi operator as a ``.pd`` choi literal of real entries."""
-    return "choi [" + ", ".join(f"{x.real:g}" for x in f.choi.ravel()) + "]"
-
-
 # `check nosignalling` on a box reads time direction from its declared orientations alone:
-# a generator box and the choi literal of the same process give the same line
+# a generator box and the choi literal of the same process give the same line, and
+# `check member` in qpart follows it
 SIGNALLING_BOTH = "fail (signalling: causal->retro, retro->causal)"
 NO_SIGNALLING_ROWS = [
     ("q -> q", "id", 0, "pass"),
     ("q * dual(q) -> q * dual(q)", "id", 0, "pass"),
     ("q -> dual(q)", "id", 1, SIGNALLING_BOTH),
-    ("q -> dual(q)", choi_literal(P.identity(Q(2))), 1, SIGNALLING_BOTH),
+    ("q -> dual(q)", gen.choi_literal(P.identity(Q(2)).choi), 1, SIGNALLING_BOTH),
     ("q * dual(q) -> dual(q) * q", "id", 1, SIGNALLING_BOTH),
-    ("q * dual(q) -> dual(q) * q", choi_literal(P.identity(Q(2) * Q(2))), 1, SIGNALLING_BOTH),
+    ("q * dual(q) -> dual(q) * q", gen.choi_literal(P.identity(Q(2) * Q(2)).choi), 1, SIGNALLING_BOTH),
 ]
 
 
@@ -545,8 +544,11 @@ NO_SIGNALLING_ROWS = [
                          ids=[f"{b[:4]}: {s}" for s, b, _, _ in NO_SIGNALLING_ROWS])
 def test_check_nosignalling_on_a_box(signature, body, code, verdict, tmp_path, capsys):
     p = tmp_path / "nosignalling.pd"
-    p.write_text(f"system q = Q(2)\nbox b : {signature} = {body}\ncheck nosignalling b in qpart\n")
-    assert run(capsys, "check", p) == (code, f"check nosignalling b in qpart: {verdict}\n", "")
+    p.write_text(f"system q = Q(2)\nbox b : {signature} = {body}\ncheck nosignalling b in qpart\n"
+                 "check member b in qpart\n")
+    member = f"fail (not a member of qpart: {NO_SIGNALLING_BOTH})" if code else "pass"
+    out = f"check nosignalling b in qpart: {verdict}\ncheck member b in qpart: {member}\n"
+    assert run(capsys, "check", p) == (code, out, "")
 
 
 def test_check_unknown_theory_exit_2(tmp_path, capsys):
@@ -557,23 +559,6 @@ def test_check_unknown_theory_exit_2(tmp_path, capsys):
     expected = "['qcalc', 'qcalc-bullet', 'qcalc-quotient', 'qneut', 'qpart', 'qphys', 'qphys-unital']"
     assert (code, out) == (2, "")
     assert err == f"check member mu in nope: unknown theory 'nope'; expected one of {expected}\n"
-
-
-def open_brick_text(rng, layers=6, width=4):
-    """An open brick circuit of distinct random 2-qubit channels, written as choi literals."""
-    lines, nodes, wires = ["system q = Q(2)"], [], []
-    src = [f"bound.in[{k}]" for k in range(width)]
-    gate = 0
-    for layer in range(layers):
-        for top in range(layer % 2, width - 1, 2):
-            choi = P.random_cptp(rng, Q(2) * Q(2), Q(2) * Q(2)).choi
-            lines.append(f"box g{gate} : q * q -> q * q = choi [{', '.join(map(cli._fmt_complex, choi.flat))}]")
-            nodes.append(f"  node n{gate}: g{gate}")
-            wires += [f"  wire {src[top]} -> n{gate}.in[0]", f"  wire {src[top + 1]} -> n{gate}.in[1]"]
-            src[top], src[top + 1] = f"n{gate}.out[0]", f"n{gate}.out[1]"
-            gate += 1
-    wires += [f"  wire {src[k]} -> bound.out[{k}]" for k in range(width)]
-    return "\n".join(lines + ["diagram Brick {"] + nodes + wires + ["}"])
 
 
 LAW_PREDICATES = {"causal": P.is_causal, "retrocausal": P.preserves_identity, "unital": P.preserves_max_mixed}
@@ -589,7 +574,7 @@ def test_law_verdicts_on_closed_diagrams_match_the_process_predicates(law, tol_e
     tol = dataclasses.replace(DEFAULT_TOL, eq_rel=tol_eq or DEFAULT_TOL.eq_rel)
     flags = [] if tol_eq is None else ["--tol-eq", tol_eq]
     texts = [path.read_text() for path in sorted(GOOD.glob("*.pd"))] + [NEAR_FILE]
-    texts += [open_brick_text(np.random.default_rng(seed)) for seed in (777, 9)]
+    texts += [gen.brick_circuit(np.random.default_rng(seed), "Brick", closed=False).text for seed in (777, 9)]
     verdicts = []
     for k, text in enumerate(texts):
         source = "".join(line + "\n" for line in text.splitlines() if not line.startswith("check"))

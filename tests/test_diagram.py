@@ -3,6 +3,7 @@ from math import prod
 from pathlib import Path
 from typing import NamedTuple
 
+import gen
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,66 +169,9 @@ def chain_diagram(n_boxes, cycle=False):
     return D.parse(chain_source(n_boxes, cycle))
 
 
-def closed_chain(n):
-    """maxmix -> (n - 2) identities -> discard on Q(2); a channel closed by discard: value 1."""
-    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box w : q -> q = id",
-             "box tr : q -> = discard", "diagram Chain {", "  node a: mu"]
-    lines += [f"  node n{i}: w" for i in range(n - 2)]
-    lines += ["  node z: tr"]
-    ends = ["a"] + [f"n{i}" for i in range(n - 2)] + ["z"]
-    lines += [f"  wire {x}.out[0] -> {y}.in[0]" for x, y in zip(ends, ends[1:])]
-    return D.parse("\n".join(lines + ["}"])).diagrams["Chain"]
-
-
-def ladder_source(snakes):
-    """``snakes`` cup/cap zig-zags in series on Q(2); by the snake equation, the identity."""
-    lines = ["system q = Q(2)", "box u : -> q * dual(q) = cup", "box e : q * dual(q) -> = cap",
-             "diagram Ladder {"]
-    wires, src = [], "bound.in[0]"
-    for k in range(snakes):
-        lines += [f"  node c{k}: u", f"  node k{k}: e"]
-        wires += [f"  wire {src} -> k{k}.in[0]", f"  wire c{k}.out[1] -> k{k}.in[1]"]
-        src = f"c{k}.out[0]"
-    wires.append(f"  wire {src} -> bound.out[0]")
-    return "\n".join(lines + wires + ["}"])
-
-
-def snake_ladder(snakes):
-    return D.parse(ladder_source(snakes)).diagrams["Ladder"]
-
-
-def brick_source(layers, width=4):
-    """Swaps in a brick pattern on ``width`` Q(2) lines, opened by maxmix and closed by discard."""
-    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box g : q * q -> q * q = swap",
-             "box tr : q -> = discard", "diagram Brick {"]
-    lines += [f"  node s{k}: mu" for k in range(width)]
-    wires, src = [], [f"s{k}.out[0]" for k in range(width)]
-    gate = 0
-    for layer in range(layers):
-        for top in range(layer % 2, width - 1, 2):
-            lines.append(f"  node g{gate}: g")
-            wires += [f"  wire {src[top]} -> g{gate}.in[0]", f"  wire {src[top + 1]} -> g{gate}.in[1]"]
-            src[top], src[top + 1] = f"g{gate}.out[0]", f"g{gate}.out[1]"
-            gate += 1
-    lines += [f"  node t{k}: tr" for k in range(width)]
-    wires += [f"  wire {src[k]} -> t{k}.in[0]" for k in range(width)]
-    return "\n".join(lines + wires + ["}"])
-
-
-def brick_circuit(layers, width=4):
-    return D.parse(brick_source(layers, width)).diagrams["Brick"]
-
-
-def pairs_source(pairs):
-    """``pairs`` disconnected maxmix -> discard pairs on Q(2): only outer products join them."""
-    lines = ["system q = Q(2)", "box mu : -> q = maxmix", "box tr : q -> = discard", "diagram Pairs {"]
-    lines += [f"  node p{k}: mu\n  node f{k}: tr" for k in range(pairs)]
-    lines += [f"  wire p{k}.out[0] -> f{k}.in[0]" for k in range(pairs)]
-    return "\n".join(lines + ["}"])
-
-
-def pair_product(pairs):
-    return D.parse(pairs_source(pairs)).diagrams["Pairs"]
+def parsed(case):
+    """The diagram of a ``gen.Case``."""
+    return D.parse(case.text).diagrams[case.diagram]
 
 
 def test_chain_plan_has_pairwise_steps():
@@ -384,10 +328,13 @@ def plan_corpus():
     cases = [(f"{path.name}:{name}", dg) for path in sorted(GOOD.glob("*.pd"))
              for name, dg in D.parse_file(path).diagrams.items()]
     cases += [(f"chain{n}", chain_diagram(n).diagrams["Chain"]) for n in (2, 3, 7, 40)]
-    cases += [("cycle12", chain_diagram(12, cycle=True).diagrams["Chain"]), ("closed40", closed_chain(40))]
-    cases += [(f"ladder{2 * k}", snake_ladder(k)) for k in (1, 3, 20)]
-    cases += [(f"brick{layers}", brick_circuit(layers)) for layers in (1, 5, 20)]
-    cases += [("pairs40", pair_product(20)), ("diamond", D.parse(DIAMOND).diagrams["Diamond"])]
+    cases += [("cycle12", chain_diagram(12, cycle=True).diagrams["Chain"])]
+    cases += [("closed40", parsed(gen.identity_chain("Chain", 40)))]
+    cases += [(f"ladder{2 * k}", parsed(gen.snake_ladder("Ladder", k))) for k in (1, 3, 20)]
+    rng = np.random.default_rng(0)
+    cases += [(f"brick{layers}", parsed(gen.brick_circuit(rng, "Brick", layers=layers))) for layers in (1, 5, 20)]
+    cases += [("pairs40", parsed(gen.pair_product(rng, "Pairs", 40)))]
+    cases += [("diamond", D.parse(DIAMOND).diagrams["Diamond"])]
     return cases
 
 
@@ -609,20 +556,19 @@ def test_typecheck_matches_reference_on_mutated_wirings():
 
 
 def test_long_identity_chain_evaluates_to_one():
-    dg = closed_chain(200)
+    case = gen.identity_chain("Chain", 200)
+    pf = D.parse(case.text)
+    dg = pf.diagrams["Chain"]
     assert D.typecheck(dg, compact=False) == []
-    env = D.build_env(D.parse("system q = Q(2)\nbox mu : -> q = maxmix\nbox w : q -> q = id\n"
-                              "box tr : q -> = discard"))
-    assert P.as_scalar(D.evaluate(dg, env)).value == pytest.approx(1.0, abs=1e-12)
+    assert P.as_scalar(D.evaluate(dg, D.build_env(pf))).value == pytest.approx(case.expect, abs=1e-12)
 
 
 def test_long_snake_ladder_evaluates_to_identity():
-    dg = snake_ladder(20)
+    case = gen.snake_ladder("Ladder", 20)
+    pf = D.parse(case.text)
+    dg = pf.diagrams["Ladder"]
     assert len(dg.nodes) == 40 and D.typecheck(dg, compact=True) == []
-    env = D.build_env(D.parse("system q = Q(2)\nbox u : -> q * dual(q) = cup\n"
-                              "box e : q * dual(q) -> = cap"))
-    bell = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])
-    assert np.max(np.abs(D.evaluate(dg, env).choi - bell)) < 1e-12
+    assert np.max(np.abs(D.evaluate(dg, D.build_env(pf)).choi - case.expect)) < 1e-12
 
 
 def test_layout_invariance():
@@ -679,17 +625,10 @@ def test_evaluation_is_functorial():
     rng = np.random.default_rng(32)
     f = P.random_cptp(rng, Q(2), Q(2))
     g = P.random_cptp(rng, Q(2), Q(2))
-    def literal(mat):
-        return ", ".join(
-            f"{float(z.real)!r}{'+' if z.imag >= 0 else '-'}{abs(float(z.imag))!r}i"
-            for z in mat.reshape(-1)
-        )
-
-    entries_f, entries_g = literal(f.choi), literal(g.choi)
     src = f"""
 system q = Q(2)
-box f : q -> q = choi [{entries_f}]
-box g : q -> q = choi [{entries_g}]
+box f : q -> q = {gen.choi_literal(f.choi)}
+box g : q -> q = {gen.choi_literal(g.choi)}
 diagram Seq {{
   node a: f
   node b: g
@@ -827,34 +766,17 @@ def test_good_corpus_typechecks_and_evaluates():
             D.evaluate(dg, env)
 
 
-def open_brick(rng, layers=6, width=4):
-    """A brick pattern of distinct random 2-qubit channels from ``bound.in`` to ``bound.out``
-    on ``width`` Q(2) lines, and the env binding them."""
-    lines, nodes, wires = ["system q = Q(2)"], [], []
-    src = [f"bound.in[{k}]" for k in range(width)]
-    gate = 0
-    for layer in range(layers):
-        for top in range(layer % 2, width - 1, 2):
-            lines.append(f"box g{gate} : q * q -> q * q = id")
-            nodes.append(f"  node n{gate}: g{gate}")
-            wires += [f"  wire {src[top]} -> n{gate}.in[0]", f"  wire {src[top + 1]} -> n{gate}.in[1]"]
-            src[top], src[top + 1] = f"n{gate}.out[0]", f"n{gate}.out[1]"
-            gate += 1
-    wires += [f"  wire {src[k]} -> bound.out[{k}]" for k in range(width)]
-    pf = D.parse("\n".join(lines + ["diagram Brick {"] + nodes + wires + ["}"]))
-    env = {f"g{k}": P.random_cptp(rng, Q(2) * Q(2), Q(2) * Q(2)) for k in range(gate)}
-    return pf.diagrams["Brick"], env
-
-
 def closing_cases():
-    """(label, diagram, env) for every good-corpus diagram and two open brick circuits."""
-    for path in sorted(GOOD.glob("*.pd")):
-        pf = D.parse_file(path)
+    """(label, diagram, env) for every good-corpus diagram and two open brick circuits of distinct
+    random 2-qubit channels."""
+    files = [(path.name, D.parse_file(path)) for path in sorted(GOOD.glob("*.pd"))]
+    for seed in (777, 9):
+        case = gen.brick_circuit(np.random.default_rng(seed), "Brick", closed=False)
+        files.append((f"brick seed {seed}", D.parse(case.text)))
+    for label, pf in files:
         env = D.build_env(pf)
         for name, dg in pf.diagrams.items():
-            yield f"{path.name}:{name}", dg, env
-    for seed in (777, 9):
-        yield f"brick seed {seed}", *open_brick(np.random.default_rng(seed))
+            yield f"{label}:{name}", dg, env
 
 
 def test_closed_diagram_is_the_partial_trace_of_the_full_value():
@@ -1110,8 +1032,10 @@ def parse_new(text):
 def corpus_and_builder_texts():
     texts = [path.read_text() for path in sorted(GOOD.glob("*.pd")) + sorted(BAD.glob("*.pd"))]
     texts += [chain_source(n, cycle) for n in (1, 2, 40) for cycle in (False, True)]
-    texts += [ladder_source(n) for n in (1, 30)] + [pairs_source(n) for n in (1, 30)]
-    texts += [brick_source(layers, width) for layers, width in ((1, 2), (6, 4), (9, 7))]
+    rng = np.random.default_rng(0)
+    texts += [gen.snake_ladder("Ladder", n).text for n in (1, 30)]
+    texts += [gen.pair_product(rng, "Pairs", 2 * n).text for n in (1, 30)]
+    texts += [gen.brick_circuit(rng, "Brick", width, layers).text for layers, width in ((1, 2), (6, 4), (9, 7))]
     return texts
 
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proctheory import groups as G
 from proctheory import numerics
+from proctheory import processes as P
+from proctheory import theories as T
 from proctheory.numerics import (
     DimensionMismatchError,
     NotHermitianError,
@@ -10,9 +13,11 @@ from proctheory.numerics import (
     contract,
     factors_in_order,
     kron,
+    mats_close,
     min_eigenvalue_hermitian,
     partial_trace,
 )
+from proctheory.systems import C, Q, TRIVIAL
 
 
 def kron_oracle(a, b):
@@ -166,6 +171,48 @@ def test_tolerances_validate():
     for name in ("zero_abs", "eq_rel", "psd_rel"):  # NaN would make every closeness test False
         with pytest.raises(ValueError, match=name):
             Tolerances(**{name: float("nan")})
+
+
+def accepts(build, *args):
+    try:
+        build(*args)
+    except ValueError:  # NotHermitianError too
+        return False
+    return True
+
+
+def rep_violations(group, *action, tol=Tolerances()):
+    return G.validate_representation(G.Representation(group, Q(2), (np.eye(2), *action)), tol)
+
+
+BIG = 1e3  # the operands' norm: a bound relative to max(1, |x|) is 10**3 times its tolerance
+ROOT_BIG = np.sqrt(BIG) * np.eye(2)
+Z2 = G.cyclic_group(2)
+# (site, verdict on x, x just inside the scaled bound, x just outside it). At the default
+# tolerances eq_rel * 10**3 = psd_rel * 10**3 = 1e-6 and zero_abs * 10**3 = 1e-9. The scale of a
+# scalar or of a near-unitary passes 1 only far from the ideal, so those two rows move the tolerance.
+RELATIVE_SCALE_ROWS = [
+    ("mats_close", lambda d: mats_close(BIG * np.eye(2), BIG * np.eye(2) + d * np.eye(2)[::-1]), 0.9e-6, 1.1e-6),
+    ("min_eigenvalue_hermitian", lambda d: accepts(min_eigenvalue_hermitian, [[BIG, d], [0, BIG]]), 0.9e-6, 1.1e-6),
+    ("ProcessTensor psd", lambda d: accepts(P.effect, np.diag([BIG, -d]), Q(2)), 0.9e-6, 1.1e-6),
+    ("ProcessTensor decoherence", lambda d: accepts(P.effect, [[BIG, d], [d, 1]], C(2)), 0.9e-9, 1.1e-9),
+    ("Scalar", lambda zero_abs: accepts(P.Scalar, -BIG, Tolerances(zero_abs=zero_abs)), 1.001, 0.999),
+    ("as_scalar", lambda d: accepts(P.as_scalar, P.ProcessTensor(TRIVIAL, TRIVIAL, [[BIG + 1j * d]],
+                                                                 Tolerances(eq_rel=1e-3))), 0.9e-6, 1.1e-6),
+    ("qneut", lambda x: T.membership(T.QNEUT, P.effect(np.diag([BIG, x]), Q(2))).ok, 1.1e-6, 0.9e-6),
+    ("validate_representation unitary", lambda eq_rel: "element 1 does not act unitarily"
+     not in rep_violations(Z2, ROOT_BIG, tol=Tolerances(eq_rel=eq_rel)), 0.9991, 0.9989),
+    ("validate_representation homomorphism", lambda d: "homomorphism fails at pair (1, 1)"
+     not in rep_violations(G.cyclic_group(3), ROOT_BIG, np.diag([BIG + d, BIG])), 0.9e-6, 1.1e-6),
+    ("is_intertwiner", lambda d: G.is_intertwiner(P.effect([[BIG, d], [d, 1]], Q(2)), G.Representation(
+        Z2, Q(2), (np.eye(2), np.diag([1.0, -1.0]))), G.trivial_rep(Z2, TRIVIAL)), 0.45e-6, 0.55e-6),
+]
+
+
+@pytest.mark.parametrize("verdict, inside, outside", [row[1:] for row in RELATIVE_SCALE_ROWS],
+                         ids=[row[0] for row in RELATIVE_SCALE_ROWS])
+def test_tolerance_is_relative_to_operands_above_one(verdict, inside, outside):
+    assert (verdict(inside), verdict(outside)) == (True, False)
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,11 @@ class TestScalarTolerance:
         assert "tol" not in vars(P.Scalar(-1e-3, Tolerances(zero_abs=1e-2)))
         assert "tol" not in [f.name for f in dataclasses.fields(P.Scalar)]
 
+    def test_as_scalar_rejects_a_process_with_one_trivial_side(self):
+        for f in (max_mixed(Q(2)), discard(Q(2))):
+            with pytest.raises(ProcessTypeError, match="not a closed diagram"):
+                as_scalar(f)
+
     def test_as_scalar_honours_callers_tolerances(self):
         # a closed value with a sign error, as a faulty trusted composite would carry
         closed = ProcessTensor._trusted(TRIVIAL, TRIVIAL, np.array([[-1e-3]]))

@@ -1,10 +1,11 @@
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proctheory import cli, groups, higher_order, suite, theories
+from proctheory import cli, groups, higher_order, numerics, processes, suite, theories
 from proctheory.numerics import DEFAULT_TOL, Tolerances
 from proctheory.processes import ProcessTensor, compose_seq
 
@@ -65,14 +66,40 @@ def test_all_checks_pass_under_a_strict_tolerance():
     assert [r.name for r in reports if not r.passed] == []
 
 
+def test_run_all_passes_the_callers_tolerances_on(monkeypatch):
+    """Each call to a public function that takes ``tol``, from the suite or inside the library,
+    receives the caller's tolerances, which differ from the default in every field."""
+    custom = Tolerances(zero_abs=2e-12, eq_rel=2e-9, psd_rel=3e-9)
+    calls, wrappers = [], {}
+
+    def recording(fn):
+        signature = inspect.signature(fn)
+
+        def call(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((fn.__name__, bound.arguments["tol"] == custom))
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (numerics, processes, theories, groups, higher_order, suite):
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and not name.startswith("_") and "tol" in inspect.signature(fn).parameters:
+                monkeypatch.setattr(module, name, wrappers.setdefault(fn, recording(fn)))
+    assert all(r.passed for r in suite.run_all(42, (2, 3), 20, tol=custom))
+    assert {"canonical_rep", "bullet_compose", "state", "effect", "as_scalar", "dagger_unital",
+            "realize_process_matrix", "quotient_compose", "classical_channel", "class_equal"} <= {n for n, _ in calls}
+    assert sorted({name for name, honoured in calls if not honoured}) == []
+
+
 @pytest.mark.parametrize("dims, zero_dims", [((1,), [2]), ((1, 2, 3), [2, 3]), ((3, 1), [2, 3])])
 def test_every_dims_entry_reaches_the_zero_branch_and_the_memory_wire(monkeypatch, dims, zero_dims):
     zero, memory = [], set()
     real_pair, real_circuit = suite._zero_pair, higher_order.circuit_form_channel
 
-    def pair(rng, d):
+    def pair(rng, d, tol):
         zero.append(d)
-        return real_pair(rng, d)
+        return real_pair(rng, d, tol)
 
     def circuit(g1, g2, g3):
         memory.add(g1.output.dims[1])
