@@ -26,7 +26,6 @@ from .processes import (
     effect,
     identity,
     is_causal,
-    is_trace_nonincreasing,
     is_zero,
     max_mixed,
     noise_state,

@@ -90,13 +90,13 @@ def cmd_parse(args):
 def _compile(parsed, env, name, theory, args, memo, side=None):
     """Diagram ``name`` evaluated, or None after printing its typecheck violations under ``theory``.
 
-    With ``side``, it is the diagram closed on that side, as ``dlang.evaluate_closed`` gives it.
-    ``memo`` keeps each diagram's violations per wiring capability and its value, so calls
-    sharing it typecheck and evaluate a diagram once."""
-    key, diagram = (name, theory.compact), parsed.diagrams[name]
+    A covariant theory's wires must join equal orientations. With ``side``, the value is the
+    diagram closed on that side, as ``dlang.evaluate_closed`` gives it. ``memo`` keeps each
+    diagram's violations per ``(compact, covariant)`` pair and its value, so calls sharing it
+    typecheck a diagram once per pair and evaluate it once."""
+    key, diagram = (name, theory.compact, theory.covariant), parsed.diagrams[name]
     if key not in memo:
-        memo[key] = dlang.typecheck(diagram, compact=theory.compact,
-                                    strict_orientation=args.strict_orientation)
+        memo[key] = dlang.typecheck(diagram, compact=theory.compact, strict_orientation=theory.covariant)
     for v in memo[key]:
         print(v.format(args.file), file=sys.stderr)
     if memo[key]:
@@ -246,11 +246,6 @@ def _add_tol_flags(p):
                    help="relative equality tolerance (default from PROCTHEORY_TOL_EQ or 1e-9)")
 
 
-def _add_strict_flag(p):
-    p.add_argument("--strict-orientation", action="store_true",
-                   help="require wire orientations to match exactly")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="proctheory",
                                      description="process-theory diagram evaluator and checker")
@@ -265,7 +260,6 @@ def build_parser():
     p.add_argument("--theory", default="qcalc", type=str.lower, choices=sorted(THEORIES),
                    help="theory fixing the wiring capabilities")
     p.add_argument("--diagram", default=None, help="evaluate a single named diagram")
-    _add_strict_flag(p)
     _add_tol_flags(p)
     p.set_defaults(fn=cmd_eval)
 
@@ -273,7 +267,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--rep-in", default=None, help="representation file for intertwiner checks (input)")
     p.add_argument("--rep-out", default=None, help="representation file for intertwiner checks (output)")
-    _add_strict_flag(p)
     _add_tol_flags(p)
     p.set_defaults(fn=cmd_check)
 
@@ -287,7 +280,6 @@ def build_parser():
     p = sub.add_parser("quotient", help="evaluate diagrams and print canonical class forms")
     p.add_argument("file")
     p.add_argument("--diagram", default=None)
-    _add_strict_flag(p)
     _add_tol_flags(p)
     p.set_defaults(fn=cmd_quotient)
 

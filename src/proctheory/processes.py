@@ -73,7 +73,6 @@ __all__ = [
     "is_causal",
     "preserves_identity",
     "preserves_max_mixed",
-    "is_trace_nonincreasing",
     "is_zero",
     "random_cptp",
     "random_density",
@@ -385,12 +384,6 @@ def preserves_identity(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
 def preserves_max_mixed(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     """Unitality in the dimension-aware sense: f(1/din) = 1/dout."""
     return obeys("unital", f, tol)
-
-
-def is_trace_nonincreasing(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
-    m = np.eye(f.din) - partial_trace(f.choi, [f.din, f.dout], [0])
-    scale = max(1.0, max_abs(m), max_abs(f.choi))
-    return min_eigenvalue_hermitian((m + mat_dagger(m)) / 2, tol) >= -tol.psd_rel * scale
 
 
 def is_zero(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):

@@ -58,10 +58,11 @@ __all__ = [
 class Theory:
     """``compact`` allows cups and caps; ``laws`` are ``(check name,
     predicate(f, tol))`` pairs that members obey beyond complete positivity.
-    Members of a ``covariant`` theory, the particle/antiparticle one, also
-    intertwine the representations ``membership`` is given, checked first as
-    ``intertwiner``; its verdicts report no N(f), which does not normalise
-    processes whose wires run backwards in time."""
+    A ``covariant`` theory, the particle/antiparticle one, wires only equal
+    orientations; its members also intertwine the representations
+    ``membership`` is given, checked first as ``intertwiner``, and its
+    verdicts report no N(f), which does not normalise processes whose wires
+    run backwards in time."""
 
     name: str
     compact: bool

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -386,8 +387,39 @@ def test_malformed_flag_exit_2(argv, env, message, capsys, monkeypatch):
 
 @pytest.mark.parametrize("path", sorted(GOOD.glob("*.pd")), ids=lambda p: p.name)
 def test_eval_under_qpart_is_eval_under_qcalc(path, capsys):
-    """qpart is a row of the theory table that wires like qcalc: eval prints the same bytes."""
+    """qpart wires like qcalc where every wire joins equal orientations, as in the good corpus:
+    eval prints the same bytes."""
     assert run(capsys, "eval", path, "--theory", "qpart") == run(capsys, "eval", path, "--theory", "qcalc")
+
+
+# a causal output wired into a retrocausal input: legal in qcalc, a rule iii violation in qpart
+CROSSED = (
+    "system q = Q(2)\nbox m : -> q = maxmix\nbox x : dual(q) -> = discard\n"
+    "diagram D {\n  node a: m  node b: x\n  wire a.out[0] -> b.in[0]\n}\n"
+)
+CROSSED_VIOLATION = "6:3: iii: wire a.out[0] -> b.in[0] connects mismatched systems Q(2) and dual(Q(2))"
+
+
+@pytest.mark.parametrize("directives", [("member D in qpart", "causal D in qcalc"),
+                                        ("causal D in qcalc", "member D in qpart")],
+                         ids=["qpart_first", "qcalc_first"])
+def test_qpart_wires_join_equal_orientations(directives, tmp_path, capsys):
+    p = tmp_path / "crossed.pd"
+    p.write_text(CROSSED + "".join(f"check {d}\n" for d in directives))
+    assert run(capsys, "check", p) == (1, "check causal D in qcalc: pass\n", f"{p}:{CROSSED_VIOLATION}\n")
+    assert run(capsys, "eval", p, "--theory", "qpart") == (1, "", f"{p}:{CROSSED_VIOLATION}\n")
+    assert run(capsys, "eval", p, "--theory", "qcalc") == (0, "D: scalar 1.0\n", "")
+
+
+@pytest.mark.parametrize("command", ["eval", "check", "quotient"])
+def test_strict_orientation_flag_is_gone(command, capsys):
+    """Orientation is the theory row's to decide: the flag is an unknown argument."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(SNAKE), "--strict-orientation"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == "proctheory: error: unrecognized arguments: --strict-orientation"
 
 
 def test_theory_name_is_case_insensitive(capsys):
@@ -630,12 +662,14 @@ CHECK_ONCE_ROWS = [
      "check causal Snake in qcalc: pass\ncheck retrocausal Snake in qcalc: pass\n", []),
     (IN_LAWS, 2, (0, 1), 0,
      "check retrocausal Plain in qcalc: pass\ncheck unital Plain in qphys-unital: pass\n", []),
+    (CROSSED + "check causal D in qcalc\ncheck member D in qpart\ncheck member D in qcalc\n", 2, (1, 0), 1,
+     "check causal D in qcalc: pass\ncheck member D in qcalc: pass\n", [CROSSED_VIOLATION]),
 ]
 
 
 @pytest.mark.parametrize("source, typechecks, evaluations, code, out, violations", CHECK_ONCE_ROWS,
                          ids=["dephasing_unital", "rule_i_with_and_without_caps", "causal_only",
-                              "snake_laws_on_both_sides", "input_side_laws"])
+                              "snake_laws_on_both_sides", "input_side_laws", "with_and_without_orientation"])
 def test_check_compiles_each_diagram_once(source, typechecks, evaluations, code, out, violations,
                                           tmp_path, capsys, monkeypatch):
     """``evaluations`` counts (full, closed) evaluations."""
@@ -662,7 +696,7 @@ def test_check_compiles_each_diagram_once(source, typechecks, evaluations, code,
     assert calls == {"typecheck": typechecks, "full": evaluations[0], "closed": evaluations[1]}
 
 
-# a dual leg into an up-oriented port: wrong only under --strict-orientation
+# a dual leg into an up-oriented port: wrong only under qpart, whose wires join equal orientations
 STRICT_FILE = (
     "system q = Q(2)\nbox u : -> q * dual(q) = cup\nbox d : q -> = discard\n"
     "diagram S { node c: u  node t: d  node t2: d\n"
@@ -681,7 +715,7 @@ def flag_pairs(tmp_path):
     mixed = GOOD / "maxmix_noise.pd"
     return [
         (["eval", mixed, "--diagram", "Noise"], ["eval", mixed]),
-        (["eval", strict, "--strict-orientation"], ["eval", strict]),
+        (["eval", strict, "--theory", "qpart"], ["eval", strict]),
         (["check", deph, "--rep-in", rep, "--rep-out", rep], ["check", deph]),
         (["check", near, "--tol-eq", "1e-3"], ["check", near]),
         (["eval", BAD / "bad_rule_i.pd", "--theory", "QPHYS"], ["eval", BAD / "bad_rule_i.pd"]),
@@ -739,3 +773,28 @@ def test_help_matches_a_fresh_parser(command, capsys, monkeypatch):
     assert expected[0] == 0 and expected[1].startswith(f"usage: proctheory {command} ")
     for _ in range(2):
         assert run(capsys, command, "--help") == expected
+
+
+# README's command block documents only flags the parser has: a removed flag cannot stay documented.
+README = Path(__file__).parents[1] / "README.md"
+
+
+def undocumented_flags(readme):
+    """``(command, flag)`` for each ``--flag`` on a ``proctheory <command>`` line of the ``sh``
+    block under "Command line" that the command's parser lacks, and the commands it names."""
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    named, missing = set(), []
+    for command, rest in re.findall(r"^proctheory (\w+)(.*)", block, re.M):
+        named.add(command)
+        missing += [(command, flag) for flag in re.findall(r"--[\w-]+", rest.split("#")[0])
+                    if flag not in commands[command]._option_string_actions]
+    return missing, named
+
+
+def test_readme_command_block_names_only_parser_flags():
+    readme = README.read_text()
+    assert undocumented_flags(readme) == ([], {"parse", "eval", "check", "theorems", "quotient"})
+    head = "## Command line\n\n```sh\n"
+    stale = readme.replace(head, head + "proctheory eval FILE --strict-orientation   # gone\n")
+    assert undocumented_flags(stale)[0] == [("eval", "--strict-orientation")]

@@ -21,10 +21,8 @@ from proctheory.processes import (
     cup,
     dagger_h,
     discard,
-    effect,
     identity,
     is_causal,
-    is_trace_nonincreasing,
     is_zero,
     max_mixed,
     measurement_channel,
@@ -321,9 +319,6 @@ class TestPredicates:
         assert is_causal(ch)
 
     def test_trace_nonincreasing_and_zero(self):
-        half = effect(np.eye(2) / 2, Q(2))
-        assert is_trace_nonincreasing(half)
-        assert not is_trace_nonincreasing(noise_state(Q(2)))  # trace-increasing state
         z = ProcessTensor(Q(2), Q(2), np.zeros((4, 4)))
         assert is_zero(z)
         assert not is_zero(identity(Q(2)))
