@@ -76,7 +76,10 @@ __all__ = [
     "evaluate",
 ]
 
-GENERATORS = ("discard", "maxmix", "noise", "id", "swap", "cup", "cap")
+# each generator and the ``processes`` function that builds it
+_BUILDERS = {"discard": discard_gen, "maxmix": max_mixed, "noise": noise_state, "id": id_gen,
+             "swap": swap_gen, "cup": cup_gen, "cap": cap_gen}
+GENERATORS = tuple(_BUILDERS)
 
 
 def format_diagnostic(path, line, col, rule, message):
@@ -602,6 +605,26 @@ def parse_file(path):
 # ---------------------------------------------------------------------------
 # Box elaboration
 
+def _generator_type(g, s_in, s_out):
+    """Generator ``g``'s type on the declared wires and the systems it is built on,
+    read off the one declared side that carries its system: discard s -> I, maxmix
+    and noise I -> s, id s -> s, cup I -> h * h, cap h * h -> I (h the first half),
+    swap a * b -> b * a at the first split rotating onto the output (else None)."""
+    if g == "discard":
+        return s_in, TRIVIAL, (s_in,)
+    if g == "maxmix" or g == "noise":
+        return TRIVIAL, s_out, (s_out,)
+    if g == "id":
+        return s_in, s_in, (s_in,)
+    if g == "swap":
+        f = s_in.factors
+        k = next((k for k in range(1, len(f)) if SystemType(f[k:] + f[:k]).same_carrier(s_out)), 0)
+        return (s_in, s_out, (SystemType(f[:k]), SystemType(f[k:]))) if k else None
+    bent = s_out if g == "cup" else s_in
+    h = SystemType(bent.factors[: len(bent) // 2])
+    return (TRIVIAL, h * h, (h,)) if g == "cup" else (h * h, TRIVIAL, (h,))
+
+
 def _build_box(decl: BoxDecl, path, tol):
     err = lambda msg: SemanticError(path, decl.line, decl.col, msg)
     s_in, s_out = decl.s_in, decl.s_out
@@ -617,45 +640,13 @@ def _build_box(decl: BoxDecl, path, tol):
             return ProcessTensor(s_in, s_out, mat, tol)
         except ValueError as exc:
             raise err(f"invalid choi literal for {decl.name!r}: {exc}") from None
-    g = decl.generator
-    if g == "discard":
-        if not s_out.is_trivial():
-            raise err("discard takes no output system")
-        base = discard_gen(s_in)
-    elif g in ("maxmix", "noise"):
-        if not s_in.is_trivial():
-            raise err(f"{g} takes no input system")
-        base = (max_mixed if g == "maxmix" else noise_state)(s_out)
-    elif g == "id":
-        if not s_in.same_carrier(s_out):
-            raise err(f"id requires matching input and output, got {s_in} -> {s_out}")
-        base = id_gen(s_in)
-    elif g == "cup" or g == "cap":
-        s = s_out if g == "cup" else s_in
-        other = s_in if g == "cup" else s_out
-        if not other.is_trivial():
-            raise err(f"{g} must be a {'state' if g == 'cup' else 'effect'}")
-        m = len(s.factors)
-        if m % 2 != 0:
-            raise err(f"{g} needs an even number of factors, got {m}")
-        half = SystemType(s.factors[: m // 2])
-        second = SystemType(s.factors[m // 2 :])
-        if not half.same_carrier(second):
-            raise err(f"{g} halves do not match: {half} vs {second}")
-        base = cup_gen(half) if g == "cup" else cap_gen(half)
-    elif g == "swap":
-        m = len(s_in.factors)
-        splits = [
-            k
-            for k in range(1, m)
-            if SystemType(s_in.factors[k:] + s_in.factors[:k]).same_carrier(s_out)
-        ]
-        if not splits:
-            raise err(f"swap output {s_out} is not a rotation of input {s_in}")
-        k = splits[0]
-        base = swap_gen(SystemType(s_in.factors[:k]), SystemType(s_in.factors[k:]))
-    else:
-        raise err(f"unknown generator {g!r}")
+    typed = _generator_type(decl.generator, s_in, s_out)
+    if typed is None:
+        raise err(f"swap output {s_out} is not a rotation of input {s_in}")
+    t_in, t_out, systems = typed
+    if not (t_in.same_carrier(s_in) and t_out.same_carrier(s_out)):
+        raise err(f"{decl.generator} here is {t_in} -> {t_out}, not {s_in} -> {s_out}")
+    base = _BUILDERS[decl.generator](*systems)
     return ProcessTensor._trusted(s_in, s_out, base.choi)  # keep the declared orientations
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagram import ENTRY, read_entries
 from .numerics import (
-    DEFAULT_TOL, Tolerances, as_matrix, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
+    DEFAULT_TOL, Tolerances, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
 )
 from .processes import ProcessTensor, obeys
 from .systems import CLASSICAL, DOWN, QUANTUM, Q, SystemType
@@ -394,7 +394,7 @@ def parse_representation(text):
     mats = []
     for _ in range(order):
         entries = [_matrix_entry(tok) for tok in take(side * side)]
-        mats.append(as_matrix(entries, side, side))
+        mats.append(np.array(entries, dtype=complex).reshape(side, side))
     if pos != len(tokens):
         raise ValueError(f"{len(tokens) - pos} unexpected trailing tokens in representation file")
     return group, mats

@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DimensionMismatchError",
     "NotHermitianError",
-    "as_matrix",
     "dagger",
     "max_abs",
     "mats_close",
@@ -72,20 +71,6 @@ class NotHermitianError(ValueError):
     def __init__(self, asymmetry):
         super().__init__(f"matrix is not Hermitian: max |A - A^dagger| = {asymmetry:g}")
         self.asymmetry = asymmetry
-
-
-def as_matrix(entries, rows=None, cols=None):
-    """Coerce nested lists / arrays to a 2-D complex matrix, checking shape."""
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim == 1 and rows is not None and cols is not None:
-        if a.size != rows * cols:
-            raise DimensionMismatchError(
-                f"expected {rows}x{cols} = {rows * cols} entries, got {a.size}"
-            )
-        a = a.reshape(rows, cols)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"expected a matrix, got ndim={a.ndim}")
-    return a
 
 
 def dagger(a):

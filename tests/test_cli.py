@@ -221,6 +221,9 @@ def test_check_bad_rep_file_exit_2(tmp_path, capsys):
         ("1x 0\n0\n1\n1\n", "group order must be an integer, got '1x'"),
         ("1 0\n0.0\n1\n1\n", "Cayley table entry must be an integer, got '0.0'"),
         ("1 0\n" + "9" * 20 + "\n1\n1\n", f"Cayley table entry {'9' * 20} is too large"),
+        # tables that parse but break a group axiom checked after the identity and inverses
+        ("2 0\n0 1\n1 5\n1\n1\n1\n", "not a group: table entries out of range"),
+        ("3 0\n0 1 2\n1 1 0\n2 0 2\n1\n1\n1\n1\n", "not a group: associativity fails at triple (1, 1, 2)"),
     ]
     for k, (text, message) in enumerate(rows):
         rep = tmp_path / f"bad{k}.grp"
@@ -458,6 +461,16 @@ BAD_SOURCES = [
     ("check", "system q = Q(99999999999999999999)\nbox b : -> q = choi [1]\n",
      "2:5: semantic: choi literal for 'b' needs 9999999999999999999800000000000000000001 entries "
      "(99999999999999999999x99999999999999999999), got 1"),
+    ("eval", "box b : -> = discard\ncheck causal b at qphys\n", "2:16: parse: expected 'in', got 'at'"),
+    ("parse", "system bound = Q(2)\n", "1:8: parse: 'bound' is reserved for boundary ports"),
+    ("check", "box bound : -> = noise\n", "1:5: parse: 'bound' is reserved for boundary ports"),
+    ("eval", "system q = Q(0)\n", "1:12: parse: wire dimension must be >= 1, got 0"),
+    # a generator's type is fixed by the declared side that carries its system
+    ("eval", "system q = Q(2)\nbox b : -> q * q * q = cup\n",
+     "2:5: semantic: cup here is I -> Q(2) * Q(2), not I -> Q(2) * Q(2) * Q(2)"),
+    ("check", "box b : C(2) -> dual(Q(2)) = id\n", "1:5: semantic: id here is C(2) -> C(2), not C(2) -> dual(Q(2))"),
+    ("quotient", "box b : Q(2) * C(2) -> Q(2) * Q(2) = swap\n",
+     "1:5: semantic: swap output Q(2) * Q(2) is not a rotation of input Q(2) * C(2)"),
 ]
 
 
@@ -495,11 +508,27 @@ BAD_WIRINGS = [
 ]
 
 
+# A two-node cycle, its wires written output port first or input port first:
+# rule ii under an acyclic theory, a closed loop under a compact one.
+CYCLE_WIRES = ["  wire a.out[0] -> b.in[0]\n  wire b.out[0] -> a.in[0]\n",
+               "  wire b.in[0] -> a.out[0]\n  wire a.in[0] -> b.out[0]\n"]
+BAD_WIRINGS += [("eval --theory qphys", IDENTITY + "  node b : w\n" + wires + "}\n",
+                 ["4:8: ii: wiring cycle through node 'a'; the theory is acyclic-only"]) for wires in CYCLE_WIRES]
+
+
+@pytest.mark.parametrize("wires", CYCLE_WIRES)
+def test_two_node_cycle_is_a_loop_under_qcalc(wires, tmp_path, capsys):
+    p = tmp_path / "cycle.pd"
+    p.write_text(IDENTITY + "  node b : w\n" + wires + "}\n")
+    assert run(capsys, "eval", p, "--theory", "qcalc") == (0, "D: scalar 4.0\n", "")
+
+
 @pytest.mark.parametrize("command, source, diagnostics", BAD_WIRINGS)
 def test_bad_wiring_exit_1(command, source, diagnostics, tmp_path, capsys):
     p = tmp_path / "bad.pd"
     p.write_text(source)
-    code, out, err = run(capsys, command, p)
+    command, *flags = command.split()
+    code, out, err = run(capsys, command, p, *flags)
     assert (code, out, err) == (1, "", "".join(f"{p}:{d}\n" for d in diagnostics))
 
 
@@ -632,12 +661,31 @@ def test_causal_check_on_a_wide_state_never_builds_its_choi_operator(tmp_path):
                     + "".join(f"  node a{k}: m\n" for k in range(n))
                     + "".join(f"  wire a{k}.out[0] -> bound.out[{k}]\n" for k in range(n))
                     + "}\ncheck causal S in qphys\n")
+    assert run_in_2_gib("check", path) == (0, "check causal S in qphys: pass\n", "")
+
+
+def run_in_2_gib(*argv):
+    """``(exit code, stdout, stderr)`` of the console command under a 2 GiB address-space limit."""
     limit = 2 << 30
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "proctheory.cli", "check", str(path)], env=env,
+    done = subprocess.run([sys.executable, "-m", "proctheory.cli", *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=120,
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    assert (done.returncode, done.stdout, done.stderr) == (0, "check causal S in qphys: pass\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+# Generator declarations on many wires that their type rejects. Built first, the id and the cup
+# would each take 4 GiB, and the discard 16 TiB; under 2 GiB only a check before any array passes.
+@pytest.mark.parametrize("generator, n_in, n_out, typed", [
+    ("id", 7, 1, (7, 7)), ("cup", 0, 15, (0, 14)), ("discard", 20, 1, (20, 0))])
+def test_wide_generator_declaration_is_rejected_before_any_array(generator, n_in, n_out, typed, tmp_path):
+    written = lambda n: " * ".join(["q"] * n)
+    shown = lambda n: " * ".join(["Q(2)"] * n) or "I"
+    path = tmp_path / "wide.pd"
+    path.write_text(f"system q = Q(2)\nbox b : {written(n_in)} -> {written(n_out)} = {generator}\n")
+    diagnostic = (f"{path}:2:5: semantic: {generator} here is {shown(typed[0])} -> {shown(typed[1])}, "
+                  f"not {shown(n_in)} -> {shown(n_out)}\n")
+    assert run_in_2_gib("eval", path) == (2, "", diagnostic)
 
 
 # A check file naming one diagram in several directives: each diagram is typechecked once per

@@ -1,3 +1,4 @@
+import itertools
 import re
 from math import prod
 from pathlib import Path
@@ -147,6 +148,58 @@ def test_generators_keep_their_declared_orientations(decl):
     pf = D.parse(f"system q = Q(2)\nbox b : {signature} = {generator}")
     f, declared = D.build_env(pf)["b"], pf.boxes["b"]
     assert (f.input, f.output) == (declared.s_in, declared.s_out)
+
+
+def reference_generator(g, s_in, s_out):
+    """The per-generator checks that box elaboration ran before one typing rule
+    replaced them, kept as its oracle: the process that the ``processes``
+    generator named ``g`` builds for these wires, or None where they reject it."""
+    if g == "discard":
+        return P.discard(s_in) if s_out.is_trivial() else None
+    if g in ("maxmix", "noise"):
+        return (P.max_mixed if g == "maxmix" else P.noise_state)(s_out) if s_in.is_trivial() else None
+    if g == "id":
+        return P.identity(s_in) if s_in.same_carrier(s_out) else None
+    if g in ("cup", "cap"):
+        s, other = (s_out, s_in) if g == "cup" else (s_in, s_out)
+        m = len(s.factors)
+        half, second = SystemType(s.factors[: m // 2]), SystemType(s.factors[m // 2 :])
+        if not other.is_trivial() or m % 2 or not half.same_carrier(second):
+            return None
+        return P.cup(half) if g == "cup" else P.cap(half)
+    f = s_in.factors
+    splits = [k for k in range(1, len(f)) if SystemType(f[k:] + f[:k]).same_carrier(s_out)]
+    return P.swap(SystemType(f[: splits[0]]), SystemType(f[splits[0] :])) if splits else None
+
+
+def test_generator_typing_matches_reference_on_every_small_declaration():
+    # every generator declaration with 0-3 factors a side
+    sides = [" * ".join(c) for n in range(4) for c in itertools.product(("Q(2)", "C(2)", "dual(Q(2))"), repeat=n)]
+    decls = [(g, a, b) for g in D.GENERATORS for a in sides for b in sides]
+    pf = D.parse("".join(f"box b{k} : {a} -> {b} = {g}\n" for k, (g, a, b) in enumerate(decls)))
+    accepted = 0
+    for line, decl in enumerate(pf.boxes.values(), 1):
+        g, s_in, s_out = decl.generator, decl.s_in, decl.s_out
+        want = reference_generator(g, s_in, s_out)
+        try:
+            f = D.build_env(D.ParsedFile("gen.pd", boxes={decl.name: decl}))[decl.name]
+        except D.SemanticError as exc:
+            assert want is None and (exc.line, exc.col) == (line, 5), (decl, exc)
+            if g == "swap":
+                assert exc.message == f"swap output {s_out} is not a rotation of input {s_in}"
+                continue
+            # the diagnostic names a type that the generator has
+            typed, declared = exc.message.removeprefix(f"{g} here is ").split(", not ")
+            assert declared == f"{s_in} -> {s_out}"
+            t_in, t_out = (D.parse(f"system t = {t}").systems["t"] if t != "I" else SystemType()
+                           for t in typed.split(" -> "))
+            assert reference_generator(g, t_in, t_out) is not None, exc.message
+            continue
+        assert want is not None, decl
+        accepted += 1
+        assert (f.input, f.output) == (s_in, s_out)
+        assert f.choi.dtype == want.choi.dtype and f.choi.tobytes() == want.choi.tobytes()
+    assert (len(pf.boxes), accepted) == (11200, 498)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +571,17 @@ diagram Fork {
 }"""
 
 
+# bad_rule_ii.pd's two-node cycle with each wire written input port first
+CYCLE_INPUT_FIRST = (BAD / "bad_rule_ii.pd").read_text().replace(
+    "a.out[0] -> b.in[0]", "b.in[0] -> a.out[0]").replace("b.out[0] -> a.in[0]", "a.in[0] -> b.out[0]")
+
+
 def typecheck_corpus():
-    """``plan_corpus()``, FORK and the diagrams of the bad files that parse."""
+    """``plan_corpus()``, FORK, the diagrams of the bad files that parse and CYCLE_INPUT_FIRST."""
     paths = [BAD / f"bad_{name}.pd" for name in ("port_reuse", "rule_i", "rule_ii", "rule_iii")]
     return plan_corpus() + [("fork", D.parse(FORK).diagrams["Fork"])] + [
-        (f"{path.name}:{name}", dg) for path in paths for name, dg in D.parse_file(path).diagrams.items()]
+        (f"{path.name}:{name}", dg) for path in paths for name, dg in D.parse_file(path).diagrams.items()] + [
+        ("cycle input first", D.parse(CYCLE_INPUT_FIRST).diagrams["Cycle"])]
 
 
 MODES = [(compact, strict) for compact in (False, True) for strict in (False, True)]
