@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagram import ENTRY, read_entries
 from .numerics import (
-    DEFAULT_TOL, Tolerances, dagger as mat_dagger, factors_in_order, max_abs, partial_trace,
+    DEFAULT_TOL, Tolerances, dagger as mat_dagger, factors_in_order, max_abs, partial_trace, within,
 )
 from .processes import ProcessTensor, obeys
 from .systems import CLASSICAL, DOWN, QUANTUM, Q, SystemType
@@ -197,17 +197,17 @@ def validate_representation(r: Representation, tol: Tolerances = DEFAULT_TOL):
     g = r.group
     dq = r.quantum_dim
     eye = np.eye(dq)
-    if max_abs(r.action[g.identity] - eye) > tol.eq_rel:
+    if not within(max_abs(r.action[g.identity] - eye), tol.eq_rel):
         bad.append("identity element does not act as the identity")
     for a in g.elements():
         u = r.action[a]
-        if max_abs(u @ mat_dagger(u) - eye) > tol.eq_rel * max(1.0, max_abs(u) ** 2):
+        if not within(max_abs(u @ mat_dagger(u) - eye), tol.eq_rel, max_abs(u) ** 2):
             bad.append(f"element {a} does not act unitarily")
     for a in g.elements():
         for b in g.elements():
             lhs = r.action[a] @ r.action[b]
             rhs = r.action[g.mul(a, b)]
-            if max_abs(lhs - rhs) > tol.eq_rel * max(1.0, max_abs(lhs)):
+            if not within(max_abs(lhs - rhs), tol.eq_rel, max_abs(lhs)):
                 bad.append(f"homomorphism fails at pair ({a}, {b})")
     return bad
 
@@ -251,7 +251,7 @@ def is_intertwiner(
     for g in rep_in.group.elements():
         u = np.kron(rep_in.unitary(g).conj(), rep_out.unitary(g))
         moved = u @ f.choi @ mat_dagger(u)
-        if max_abs(moved - f.choi) > tol.eq_rel * max(1.0, max_abs(f.choi)):
+        if not within(max_abs(moved - f.choi), tol.eq_rel, max_abs(f.choi)):
             return False
     return True
 
@@ -320,7 +320,7 @@ def no_signalling_part(f: ProcessTensor, law, tol: Tolerances = DEFAULT_TOL):
     if not obeys(law, part, tol):
         return False, res, None, ("extracted retro part does not preserve the noise state" if retro
                                   else "extracted causal part is not trace preserving")
-    ok = res <= tol.eq_rel
+    ok = within(res, tol.eq_rel)
     return ok, res, part if ok else None, None
 
 

@@ -3,8 +3,8 @@
 Everything downstream (processes, diagrams, theories) manipulates square
 complex matrices; this module owns the handful of primitives they need:
 tensor products, partial traces over named factors, the pairwise
-contraction of labelled tensors, Hermitian eigenvalue bounds, and the
-tolerance record used for all approximate comparisons.
+contraction of labelled tensors, Hermitian eigenvalue bounds, the tolerance
+record, and ``within``, the one rule that decides every approximate verdict.
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``. Sums and
 contractions go through ``einsum``/BLAS with a fixed operand order, so
@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "within",
     "DimensionMismatchError",
     "NotHermitianError",
     "dagger",
@@ -57,6 +58,11 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def within(residual, rel, scale=0.0):
+    """Is ``residual`` at most ``rel`` times the larger of ``scale`` and 1? NaN never is."""
+    return residual <= rel * max(scale, 1.0)  # max(nan, 1.0) is nan; max(1.0, nan) would be 1.0
+
+
 class DimensionMismatchError(ValueError):
     """A matrix/factor dimension does not match its declared shape."""
 
@@ -89,8 +95,7 @@ def mats_close(a, b, tol: Tolerances = DEFAULT_TOL):
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         return False
-    scale = max(1.0, max_abs(a), max_abs(b))
-    return max_abs(a - b) <= tol.eq_rel * scale
+    return within(max_abs(a - b), tol.eq_rel, max(max_abs(a), max_abs(b)))
 
 
 def kron(a, b):
@@ -191,15 +196,14 @@ def min_eigenvalue_hermitian(a, tol: Tolerances = DEFAULT_TOL):
     """Smallest eigenvalue of the Hermitian part of ``a``.
 
     Accuracy is that of the backend solver, psd_rel * ||a|| in the contract;
-    raises NotHermitianError when ``a`` is farther than eq_rel from its own
-    adjoint.
+    raises NotHermitianError when ``a`` is not ``mats_close`` to its own
+    adjoint, which a matrix holding NaN never is.
     """
     a = np.asarray(a, dtype=complex)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
-    asym = max_abs(a - dagger(a))
-    if asym > tol.eq_rel * max(1.0, max_abs(a)):
-        raise NotHermitianError(asym)
+    if not mats_close(a, dagger(a), tol):
+        raise NotHermitianError(max_abs(a - dagger(a)))
     herm = (a + dagger(a)) / 2
     if herm.shape == (0, 0):
         raise DimensionMismatchError("empty matrix has no eigenvalues")

@@ -43,6 +43,7 @@ from .numerics import (
     mats_close,
     min_eigenvalue_hermitian,
     partial_trace,
+    within,
 )
 from .systems import CLASSICAL, SystemType, TRIVIAL
 
@@ -136,14 +137,13 @@ class ProcessTensor:
         peak = max_abs(choi)
         if not peak < np.inf:  # NaN compares false too
             raise ValueError("choi operator has non-finite entries")
-        scale = max(1.0, peak)
         try:
             lam = min_eigenvalue_hermitian(choi, tol)
         except NotHermitianError:
             raise ValueError("choi operator is not Hermitian") from None
-        if lam < -tol.psd_rel * scale:
+        if not within(-lam, tol.psd_rel, peak):
             raise ValueError("choi operator is not PSD: map is not completely positive")
-        if max_abs(choi - _decohere(choi, self.input, self.output)) > tol.zero_abs * scale:
+        if not within(max_abs(choi - _decohere(choi, self.input, self.output)), tol.zero_abs, peak):
             raise ValueError("choi operator violates classical decoherence")
         choi = choi.copy()
         choi.setflags(write=False)
@@ -194,7 +194,7 @@ class Scalar:
     tol: InitVar[Tolerances] = DEFAULT_TOL
 
     def __post_init__(self, tol):
-        if not (abs(self.value) < np.inf and self.value >= -tol.zero_abs * max(1.0, abs(self.value))):
+        if not (abs(self.value) < np.inf and within(-self.value, tol.zero_abs, abs(self.value))):
             raise ValueError(f"scalar must be finite and nonnegative, got {self.value}")
         object.__setattr__(self, "value", max(0.0, float(self.value)))
 
@@ -204,7 +204,7 @@ def as_scalar(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     if not (f.input.is_trivial() and f.output.is_trivial()):
         raise ProcessTypeError(f"{f} is not a closed diagram")
     z = complex(f.choi[0, 0])
-    if abs(z.imag) > tol.eq_rel * max(1.0, abs(z)):
+    if not within(abs(z.imag), tol.eq_rel, abs(z)):
         raise ValueError(f"closed diagram evaluated to non-real scalar {z}")
     return Scalar(z.real, tol)
 
@@ -387,7 +387,7 @@ def preserves_max_mixed(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
 
 
 def is_zero(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
-    return max_abs(f.choi) <= tol.zero_abs
+    return within(max_abs(f.choi), tol.zero_abs)
 
 
 # ---------------------------------------------------------------------------

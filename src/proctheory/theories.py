@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import is_intertwiner, no_signalling_part
-from .numerics import DEFAULT_TOL, Tolerances, mats_close, max_abs, min_eigenvalue_hermitian
+from .numerics import DEFAULT_TOL, Tolerances, mats_close, max_abs, min_eigenvalue_hermitian, within
 from .processes import (
     ProcessTensor,
     Scalar,
@@ -72,12 +72,12 @@ class Theory:
 
 def _is_representative(f: ProcessTensor, tol: Tolerances):
     """Bullet representatives are zero or normalised: N(f) = 1."""
-    return is_zero(f, tol) or abs(normalization_scalar(f).value - 1.0) <= tol.eq_rel
+    return is_zero(f, tol) or within(abs(normalization_scalar(f).value - 1.0), tol.eq_rel)
 
 
 def _is_strictly_positive(f: ProcessTensor, tol: Tolerances):
-    """qneut processes have a positive definite Choi operator."""
-    return min_eigenvalue_hermitian(f.choi, tol) > tol.psd_rel * max(1.0, max_abs(f.choi))
+    """qneut processes have a positive definite Choi operator; a least eigenvalue at the bound is not."""
+    return not within(min_eigenvalue_hermitian(f.choi, tol), tol.psd_rel, max_abs(f.choi))
 
 
 QPHYS = Theory("qphys", False, (("causal", is_causal),))
@@ -160,7 +160,7 @@ class ProcessClass:
 
 def canonical_rep(f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):
     n = normalization_scalar(f).value
-    if n <= tol.zero_abs:
+    if within(n, tol.zero_abs):
         return ProcessClass(ProcessTensor._trusted(f.input, f.output, np.zeros_like(f.choi)))
     return ProcessClass(ProcessTensor._trusted(f.input, f.output, f.choi / n))
 

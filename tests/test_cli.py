@@ -166,6 +166,21 @@ def test_quotient_command(capsys):
     assert "N=4.0" in out and "canonical: scalar 1.0" in out
 
 
+# |0><0| wired into the effect of |1><1|: a closed diagram whose value is exactly 0
+ZERO_SCALAR_FILE = (
+    "system q = Q(2)\nbox s : -> q = choi [1, 0, 0, 0]\nbox e : q -> = choi [0, 0, 0, 1]\n"
+    "diagram Z { node a: s  node b: e  wire a.out[0] -> b.in[0] }\n"
+)
+
+
+def test_quotient_prints_the_zero_class_verdict_in_full(tmp_path, capsys):
+    p = tmp_path / "zero.pd"
+    p.write_text(ZERO_SCALAR_FILE)
+    loop = run(capsys, "quotient", GOOD / "loop_qubit.pd")
+    assert loop == (0, "Loop: N=4.0 zero=False\nLoop canonical: scalar 1.0\n", "")
+    assert run(capsys, "quotient", p) == (0, "Z: N=0.0 zero=True\nZ canonical: scalar 0.0\n", "")
+
+
 # a state that misses trace 1 by 1e-6: causal only under a loose tolerance
 NEAR_FILE = (
     "system q = Q(2)\nbox s : -> q = choi [0.500001, 0, 0, 0.5]\n"

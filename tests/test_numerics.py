@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from proctheory.numerics import (
     mats_close,
     min_eigenvalue_hermitian,
     partial_trace,
+    within,
 )
 from proctheory.systems import C, Q, TRIVIAL
 
@@ -213,6 +217,50 @@ RELATIVE_SCALE_ROWS = [
                          ids=[row[0] for row in RELATIVE_SCALE_ROWS])
 def test_tolerance_is_relative_to_operands_above_one(verdict, inside, outside):
     assert (verdict(inside), verdict(outside)) == (True, False)
+
+
+# ---------------------------------------------------------------------------
+# One rule, numerics.within, for every comparison with a tolerance
+
+
+def test_within_is_non_strict_floors_the_scale_at_one_and_never_passes_nan():
+    past = np.nextafter(1e-9, 1)
+    assert (within(1e-9, 1e-9), within(past, 1e-9)) == (True, False)
+    assert (within(1e-9, 1e-9, 0.5), within(past, 1e-9, 0.5)) == (True, False)
+    assert (within(2e-9, 1e-9, 2.0), within(np.nextafter(2e-9, 1), 1e-9, 2.0)) == (True, False)
+    assert (within(np.nan, 1e-9), within(0.0, 1e-9, np.nan), within(np.nan, np.inf)) == (False, False, False)
+
+
+def test_a_nan_entry_passes_no_verdict():
+    with pytest.raises(ValueError):
+        min_eigenvalue_hermitian([[np.nan, 0], [0, 1]])
+    rep = G.Representation(Z2, Q(2), (np.eye(2), [[np.nan, 0], [0, 1]]))
+    pairs = [f"homomorphism fails at pair {p}" for p in ((0, 1), (1, 0), (1, 1))]
+    assert G.validate_representation(rep) == ["element 1 does not act unitarily", *pairs]
+    assert G.is_intertwiner(P.identity(Q(2)), rep, rep) is False
+
+
+def test_a_residual_exactly_at_the_bound_is_within_it():
+    """``is_zero`` passes at its bound; ``qneut`` is strict, so a least eigenvalue there fails."""
+    zero_at, zero_past = 1e-12, np.nextafter(1e-12, 1)
+    assert (P.is_zero(P.state([[zero_at]], Q(1))), P.is_zero(P.state([[zero_past]], Q(1)))) == (True, False)
+    qneut = lambda x: T.membership(T.QNEUT, P.effect(np.diag([1, x]), Q(2))).ok
+    assert (qneut(1e-9), qneut(np.nextafter(1e-9, 1))) == (False, True)
+
+
+TOLERANCE_FIELDS = {"zero_abs", "eq_rel", "psd_rel"}
+
+
+@pytest.mark.parametrize("module", [numerics, P, T, G], ids=lambda m: m.__name__)
+def test_tolerance_fields_reach_a_verdict_only_through_within(module):
+    """No comparison reads a ``Tolerances`` field; each one read is an argument of ``within``."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    fields = lambda node: [n for n in ast.walk(node)
+                           if isinstance(n, ast.Attribute) and n.attr in TOLERANCE_FIELDS]
+    compared = [n.lineno for c in ast.walk(tree) if isinstance(c, ast.Compare) for n in fields(c)]
+    passed = {id(a) for c in ast.walk(tree)
+              if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "within" for a in c.args}
+    assert (compared, [n.lineno for n in fields(tree) if id(n) not in passed]) == ([], [])
 
 
 # ---------------------------------------------------------------------------
