@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from proctheory import higher_order as HO
 from proctheory import processes as P
-from proctheory.processes import compose_par, compose_seq, identity, is_causal, swap
-from proctheory.systems import Q
+from proctheory.processes import ProcessTensor, compose_par, compose_seq, identity, is_causal, swap
+from proctheory.systems import C, Q, SystemType
 
 ROLES_IN = ("past", "a-out", "b-out")
 ROLES_OUT = ("a-in", "b-in", "future")
@@ -44,6 +46,73 @@ def test_bend_of_swap_matches_entrywise_oracle():
 def test_bend_out_of_range():
     with pytest.raises(IndexError):
         HO.bend(identity(Q(2)), "in", 5)
+
+
+def reference_bend(f, side, index):
+    """Bending as one axis permutation per side, as it was written before the output case
+    became the reflection of the input case, kept as that reflection's oracle."""
+    n_in, n_out = len(f.input.factors), len(f.output.factors)
+    n = n_in + n_out
+    if side == "in":
+        if not 0 <= index < n_in:
+            raise IndexError(f"input port {index} out of range for {f}")
+        pos = index
+        new_in = f.input.factors[:index] + f.input.factors[index + 1 :]
+        new_out = f.output.factors + (f.input.factors[index].dual(),)
+        order = [i for i in range(n_in) if i != pos] + list(range(n_in, n)) + [pos]
+    elif side == "out":
+        if not 0 <= index < n_out:
+            raise IndexError(f"output port {index} out of range for {f}")
+        pos = n_in + index
+        new_in = f.input.factors + (f.output.factors[index].dual(),)
+        new_out = f.output.factors[:index] + f.output.factors[index + 1 :]
+        order = list(range(n_in)) + [pos] + [i for i in range(n_in, n) if i != pos]
+    else:
+        raise ValueError(f"side must be 'in' or 'out', got {side!r}")
+    t = f.legs().transpose(order + [i + n for i in order])
+    s_in, s_out = SystemType(new_in), SystemType(new_out)
+    side_len = s_in.total_dim * s_out.total_dim
+    return ProcessTensor._trusted(s_in, s_out, t.reshape(side_len, side_len))
+
+
+def test_bend_matches_reference_on_every_side_and_index():
+    # products of up to two of Q(2), C(3) and dual(Q(2)) a side, the empty product I included
+    factors = [Q(2), C(3), Q(2).dual()]
+    sides = [SystemType(sum((s.factors for s in c), ())) for n in range(3)
+             for c in itertools.product(factors, repeat=n)]
+    rng = np.random.default_rng(68)
+    bends = 0
+    for s_in, s_out in itertools.product(sides, repeat=2):
+        f = P.random_cp(rng, s_in, s_out)
+        for side, index in itertools.product(("in", "out", "up"), range(-1, 4)):
+            try:
+                want = reference_bend(f, side, index)
+            except (IndexError, ValueError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    HO.bend(f, side, index)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                continue
+            got = HO.bend(f, side, index)
+            assert (got.input, got.output) == (want.input, want.output)
+            assert got.choi.dtype == want.choi.dtype and got.choi.tobytes() == want.choi.tobytes()
+            bends += 1
+    assert bends == 2 * sum(len(s) for s in sides) * len(sides)
+
+
+# Input checks: each row calls a public function with an input it rejects, and names
+# the exception and its message.
+REJECTED = [
+    (lambda: HO.bend(identity(Q(2)), "out", 1), IndexError,
+     "output port 1 out of range for Process[Q(2) -> Q(2)]"),
+    (lambda: HO.bend(identity(Q(2)), "up", 0), ValueError, "side must be 'in' or 'out', got 'up'"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REJECTED)
+def test_rejected_input_raises_its_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_ordered_w_composes_channels():
