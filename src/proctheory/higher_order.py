@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import diagram
 from .numerics import DEFAULT_TOL, Tolerances
-from .processes import ProcessTensor, ProcessTypeError, identity, is_causal
+from .processes import ProcessTensor, ProcessTypeError, dagger_h, identity, is_causal
 from .systems import SystemType
 
 __all__ = [
@@ -45,30 +45,25 @@ def bend(f: ProcessTensor, side, index):
     """Move boundary factor ``index`` on ``side`` ("in"/"out") to the end of
     the other side, orientation flipped.
 
-    Implemented as composition with a cup (bending an input) or cap (bending
-    an output); numerically this permutes the Choi tensor's axes and nothing
-    else, so bending the resulting last factor back restores ``f`` exactly.
+    Bending an input is composition with a cup; numerically it permutes the
+    Choi tensor's axes and nothing else, so bending the resulting last factor
+    back restores ``f`` exactly. Bending an output, composition with a cap, is
+    its reflection in time: the dagger of bending that factor off the input
+    of ``f``'s dagger.
     """
-    n_in, n_out = len(f.input.factors), len(f.output.factors)
-    n = n_in + n_out
-    if side == "in":
-        if not 0 <= index < n_in:
-            raise IndexError(f"input port {index} out of range for {f}")
-        pos = index
-        new_in = f.input.factors[:index] + f.input.factors[index + 1 :]
-        new_out = f.output.factors + (f.input.factors[index].dual(),)
-        order = [i for i in range(n_in) if i != pos] + list(range(n_in, n)) + [pos]
-    elif side == "out":
-        if not 0 <= index < n_out:
+    if side == "out":
+        if not 0 <= index < len(f.output.factors):
             raise IndexError(f"output port {index} out of range for {f}")
-        pos = n_in + index
-        new_in = f.input.factors + (f.output.factors[index].dual(),)
-        new_out = f.output.factors[:index] + f.output.factors[index + 1 :]
-        order = list(range(n_in)) + [pos] + [i for i in range(n_in, n) if i != pos]
-    else:
+        return dagger_h(bend(dagger_h(f), "in", index))
+    if side != "in":
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
+    if not 0 <= index < len(f.input.factors):
+        raise IndexError(f"input port {index} out of range for {f}")
+    n = len(f.input.factors) + len(f.output.factors)
+    order = [i for i in range(n) if i != index] + [index]
     t = f.legs().transpose(order + [i + n for i in order])
-    s_in, s_out = SystemType(new_in), SystemType(new_out)
+    s_in = SystemType(f.input.factors[:index] + f.input.factors[index + 1 :])
+    s_out = SystemType(f.output.factors + (f.input.factors[index].dual(),))
     side_len = s_in.total_dim * s_out.total_dim
     return ProcessTensor._trusted(s_in, s_out, t.reshape(side_len, side_len))
 

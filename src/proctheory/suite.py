@@ -65,16 +65,18 @@ def format_report(r: CheckReport):
 
 @dataclass(frozen=True)
 class _Check:
-    """``trial`` on min(trials, cap) draws, then ``fixed``; alone, ``fixed`` returns (residual, cases)."""
+    """``trial`` on min(trials, cap) draws, then ``fixed``; alone, ``fixed`` returns (residual, cases).
+    A report passes when the residual is at most ``bound``."""
 
+    bound: float
     trial: Callable | None = None
     fixed: Callable | None = None
     cap: int | None = None
 
     def __call__(self, rng, dims, trials, tol):
-        """(residual, trials, worst trial, generator state just before it)."""
+        """(residual, trials, worst trial, generator state just before it, bound)."""
         if self.trial is None:
-            return (*self.fixed(rng, dims, tol), None, None)
+            return (*self.fixed(rng, dims, tol), None, None, self.bound)
         n = trials if self.cap is None else min(trials, self.cap)
         res, worst, worst_state = 0.0, None, None
         for k in range(n):
@@ -84,7 +86,7 @@ class _Check:
                 res, worst, worst_state = r, k, before
         if self.fixed is not None:
             res = max(res, self.fixed(rng, dims, tol))
-        return res, n, worst, worst_state
+        return res, n, worst, worst_state, self.bound
 
 
 def _diff(a, b):
@@ -409,33 +411,29 @@ def _cap_intertwiner(rng, dims, tol):
     return (res if groups.is_intertwiner(compose_seq(deph, deph), rz, rz, tol) else 1.0), 2
 
 
-# checks 1-14: name, anchor, pass bound on the worst residual, check
-_ROWS = [
-    ("causality-preservation", "discard-preservation", 1e-9, _Check(_causality_trial, _causality_fixed)),
-    ("retrocausal-structure", "time-reversed-noise", 1e-9, _Check(_retrocausal_trial, _retrocausal_fixed)),
-    ("eternal-noise-witness", "causal-not-retrocausal", 1e-12, _Check(fixed=_eternal_noise_witness)),
-    ("causal-collapse-witness", "single-process-collapse", 1e-12, _Check(fixed=_collapse_witness)),
-    ("snake-equations", "bent-wire-identities", 1e-12, _Check(fixed=_snakes)),
-    ("loop-scalar", "loop-equals-carrier-dimension", 1e-12, _Check(fixed=_loops)),
-    ("unital-dagger", "unital-subtheory-time-symmetry", 1e-9,
-     _Check(_unital_dagger_trial, _unital_dagger_fixed)),
-    ("dual-causal-closure", "no-signalling-closure", 1e-9, _Check(_dual_causal_trial, cap=50)),
-    ("quotient-well-defined", "scale-quotient", 1e-9, _Check(_quotient_trial, _quotient_fixed)),
-    ("bullet-quotient-equivalence", "renormalised-composition", 1e-9,
-     _Check(_bullet_equivalence_trial, _bullet_equivalence_fixed)),
-    ("zero-lemma", "local-tomography-zero", 1e-12, _Check(_zero_lemma_trial, _zero_lemma_fixed)),
-    ("noisy-determinism", "noise-restricted-determinism", 1e-9, _Check(_noisy_determinism_trial, cap=50)),
-    ("process-matrix-roundtrip", "two-slot-realization", 1e-9,
-     _Check(_process_matrix_trial, _process_matrix_fixed, cap=20)),
-    ("cap-intertwiner", "covariant-bent-wires", 1e-10, _Check(fixed=_cap_intertwiner)),
+# checks 1-14: name, anchor, check with its pass bound on the worst residual; run_all reads
+# only these rows, and callers may rewrap a row's check
+_CHECKS = [
+    ("causality-preservation", "discard-preservation", _Check(1e-9, _causality_trial, _causality_fixed)),
+    ("retrocausal-structure", "time-reversed-noise", _Check(1e-9, _retrocausal_trial, _retrocausal_fixed)),
+    ("eternal-noise-witness", "causal-not-retrocausal", _Check(1e-12, fixed=_eternal_noise_witness)),
+    ("causal-collapse-witness", "single-process-collapse", _Check(1e-12, fixed=_collapse_witness)),
+    ("snake-equations", "bent-wire-identities", _Check(1e-12, fixed=_snakes)),
+    ("loop-scalar", "loop-equals-carrier-dimension", _Check(1e-12, fixed=_loops)),
+    ("unital-dagger", "unital-subtheory-time-symmetry", _Check(1e-9, _unital_dagger_trial, _unital_dagger_fixed)),
+    ("dual-causal-closure", "no-signalling-closure", _Check(1e-9, _dual_causal_trial, cap=50)),
+    ("quotient-well-defined", "scale-quotient", _Check(1e-9, _quotient_trial, _quotient_fixed)),
+    ("bullet-quotient-equivalence", "renormalised-composition",
+     _Check(1e-9, _bullet_equivalence_trial, _bullet_equivalence_fixed)),
+    ("zero-lemma", "local-tomography-zero", _Check(1e-12, _zero_lemma_trial, _zero_lemma_fixed)),
+    ("noisy-determinism", "noise-restricted-determinism", _Check(1e-9, _noisy_determinism_trial, cap=50)),
+    ("process-matrix-roundtrip", "two-slot-realization",
+     _Check(1e-9, _process_matrix_trial, _process_matrix_fixed, cap=20)),
+    ("cap-intertwiner", "covariant-bent-wires", _Check(1e-10, fixed=_cap_intertwiner)),
 ]
-
-# run_all reads _CHECKS, whose (name, anchor, check) rows callers may rewrap
-_CHECKS = [(name, anchor, check) for name, anchor, _, check in _ROWS]
-_BOUNDS = {name: bound for name, _, bound, _ in _ROWS}
-CHECK_NAMES = list(_BOUNDS)
+CHECK_NAMES = [name for name, _, _ in _CHECKS]
 # name -> trial(rng, dims, tol, k), which replays a report's worst trial
-TRIALS = {name: check.trial for name, _, _, check in _ROWS if check.trial is not None}
+TRIALS = {name: check.trial for name, _, check in _CHECKS if check.trial is not None}
 
 
 def run_all(seed=42, dims=(2, 3), trials=100, tol: Tolerances = DEFAULT_TOL):
@@ -446,10 +444,9 @@ def run_all(seed=42, dims=(2, 3), trials=100, tol: Tolerances = DEFAULT_TOL):
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     reports = []
-    for idx, (name, anchor, fn) in enumerate(_CHECKS):
+    for idx, (name, anchor, check) in enumerate(_CHECKS):
         rng = np.random.default_rng([seed, idx])
-        residual, n, worst, worst_state = fn(rng, dims, trials, tol)
-        bound = _BOUNDS[name]
+        residual, n, worst, worst_state, bound = check(rng, dims, trials, tol)
         reports.append(CheckReport(name, anchor, n, float(residual), bool(residual <= bound), seed, bound,
                                    worst, worst_state))
     return reports

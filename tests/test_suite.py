@@ -49,6 +49,22 @@ def test_worst_state_replays_the_worst_trial(seed, dims, trials):
         assert trial(replay, dims, DEFAULT_TOL, r.worst_trial) == residuals[r.worst_trial], r.name
 
 
+def test_run_all_reports_the_same_through_rewrapped_checks(monkeypatch):
+    """A tracer rewraps each row's check in a plain function with no attributes, so
+    ``run_all`` must read a check's bound from what the call returns."""
+    want = suite.run_all(42, (2, 3), 5)
+
+    def rewrap(check):
+        def traced(*args, **kwargs):
+            return check(*args, **kwargs)
+        return traced
+
+    monkeypatch.setattr(suite, "_CHECKS", [(n, a, rewrap(c)) for n, a, c in suite._CHECKS])
+    got = suite.run_all(42, (2, 3), 5)
+    assert got == want  # tolerance included; worst_state is compared next
+    assert [r.worst_state for r in got] == [r.worst_state for r in want]
+
+
 def test_validations_are_counted_where_data_enters(monkeypatch):
     """Kraus, Stinespring and Wishart samples, positive rescalings and the parts
     no_signalling extracts are built unchecked; states, effects and classical
