@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 
 from . import diagram as dlang
 from . import groups, suite, theories
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, max_abs
 from .processes import LAWS, as_scalar, obeys
 from .theories import THEORIES, membership, normalization_scalar, theory_by_name
 
@@ -58,16 +59,13 @@ def _load(path):
 
 
 def _load_env(args):
-    """``(parsed, env, tol)`` for ``args.file``, or None after a parse or semantic diagnostic."""
+    """``(parsed, env, tol)`` for ``args.file``, or None after a parse diagnostic."""
     parsed, err = _load(args.file)
-    if err is None:
-        tol = _tolerances(args)
-        try:
-            return parsed, dlang.build_env(parsed, tol), tol
-        except dlang.SemanticError as exc:
-            err = exc
-    print(err, file=sys.stderr)
-    return None
+    if err is not None:
+        print(err, file=sys.stderr)
+        return None
+    tol = _tolerances(args)
+    return parsed, dlang.build_env(parsed, tol), tol
 
 
 def cmd_parse(args):
@@ -93,7 +91,8 @@ def _compile(parsed, env, name, theory, args, memo, side=None):
     A covariant theory's wires must join equal orientations. With ``side``, the value is the
     diagram closed on that side, as ``dlang.evaluate_closed`` gives it. ``memo`` keeps each
     diagram's violations per ``(compact, covariant)`` pair and its value, so calls sharing it
-    typecheck a diagram once per pair and evaluate it once."""
+    typecheck a diagram once per pair and evaluate it once. Wiring finite processes can
+    overflow; a value that is not finite raises a SemanticError at the diagram keyword."""
     key, diagram = (name, theory.compact, theory.covariant), parsed.diagrams[name]
     if key not in memo:
         memo[key] = dlang.typecheck(diagram, compact=theory.compact, strict_orientation=theory.covariant)
@@ -102,7 +101,10 @@ def _compile(parsed, env, name, theory, args, memo, side=None):
     if memo[key]:
         return None
     if name not in memo:
-        memo[name] = dlang.evaluate(diagram, env) if side is None else dlang.evaluate_closed(diagram, side, env)
+        value = dlang.evaluate(diagram, env) if side is None else dlang.evaluate_closed(diagram, side, env)
+        if not math.isfinite(max_abs(value.choi if side is None else value[0])):
+            raise dlang.SemanticError(args.file, diagram.line, diagram.col, f"diagram {name!r} overflows")
+        memo[name] = value
     return memo[name]
 
 
@@ -295,7 +297,11 @@ def _parser_for(tol_eq_env):
 
 def main(argv=None):
     args = _parser_for(os.environ.get("PROCTHEORY_TOL_EQ")).parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except dlang.SemanticError as exc:  # a box that does not build, or a diagram that overflows
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

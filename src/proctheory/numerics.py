@@ -59,8 +59,9 @@ DEFAULT_TOL = Tolerances()
 
 
 def within(residual, rel, scale=0.0):
-    """Is ``residual`` at most ``rel`` times the larger of ``scale`` and 1? NaN never is."""
-    return residual <= rel * max(scale, 1.0)  # max(nan, 1.0) is nan; max(1.0, nan) would be 1.0
+    """Is ``residual`` at most ``rel`` times the larger of ``scale`` and 1? NaN and inf never
+    are: ``max(nan, 1.0)`` is nan, where ``max(1.0, nan)`` would be 1.0."""
+    return residual <= rel * max(scale, 1.0) and residual < np.inf
 
 
 class DimensionMismatchError(ValueError):

@@ -137,7 +137,7 @@ def membership(theory: Theory, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL, 
 
 def normalization_scalar(f: ProcessTensor):
     """N(f) = Tr[choi]/dim_in: the probability weight left in f."""
-    return Scalar(max(0.0, float(np.trace(f.choi).real)) / f.din)
+    return Scalar(max(float(np.trace(f.choi).real), 0.0) / f.din)  # max(nan, 0.0) is nan, which Scalar rejects
 
 
 def bullet_compose(g: ProcessTensor, f: ProcessTensor, tol: Tolerances = DEFAULT_TOL):

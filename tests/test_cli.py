@@ -449,6 +449,17 @@ def test_theory_name_is_case_insensitive(capsys):
 CHOI_INF = "box b : -> = choi [1e999]\ndiagram D { node n: b }\n"
 # one-line node and wire statements, each failing one check of the parser
 IDENTITY = "system q = Q(2)\nbox w : q -> q = id\ndiagram D {\n  node a : w\n"
+# wirings of finite processes whose values overflow, to NaN and to inf
+OVERFLOWS = [("system q = Q(2)\nbox rho : -> q = choi [1e300, 1e300, 1e300, 1e300]\n"
+              "box e : q -> = choi [1e300, -1e300, -1e300, 1e300]\n"
+              "diagram Z {\n  node s : rho\n  node m : e\n  wire s.out[0] -> m.in[0]\n}\n"
+              "check causal Z in qcalc\n", "4:1: semantic: diagram 'Z' overflows"),
+             ("system q = Q(2)\nbox rho : -> q = choi [1e300, 0, 0, 1e300]\n"
+              f"box big : q -> q = choi [{', '.join(str(1e300 * x) for x in np.eye(4).ravel())}]\n"
+              "diagram Open {\n  node s : rho\n  node b : big\n  wire s.out[0] -> b.in[0]\n"
+              "  wire b.out[0] -> bound.out[0]\n}\n"
+              "check causal Open in qcalc\ncheck member Open in qcalc-bullet\n",
+              "4:1: semantic: diagram 'Open' overflows")]
 BAD_SOURCES = [
     ("parse", "system q = Q(²)\n", "1:14: parse: unexpected character '²'"),
     ("eval", "system q = Q(²)\n", "1:14: parse: unexpected character '²'"),
@@ -486,6 +497,8 @@ BAD_SOURCES = [
     ("check", "box b : C(2) -> dual(Q(2)) = id\n", "1:5: semantic: id here is C(2) -> C(2), not C(2) -> dual(Q(2))"),
     ("quotient", "box b : Q(2) * C(2) -> Q(2) * Q(2) = swap\n",
      "1:5: semantic: swap output Q(2) * Q(2) is not a rotation of input Q(2) * C(2)"),
+    # one diagnostic at the diagram keyword, and no value or verdict for that diagram
+    *[(command, source, diagnostic) for source, diagnostic in OVERFLOWS for command in ("eval", "check", "quotient")],
 ]
 
 

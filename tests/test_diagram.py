@@ -889,6 +889,39 @@ def test_evaluate_contracts_only_along_its_plan(monkeypatch):
         assert calls == [5] * len(D.plan(dg).steps) and calls, label
 
 
+def identity_diagram(body):
+    """Diagram ``X`` of ``body``'s statements over the box ``w : Q(2) -> Q(2) = id``, and its env."""
+    pf = D.parse(f"system q = Q(2)\nbox w : q -> q = id\ndiagram X {{\n{body}}}\n")
+    return pf.diagrams["X"], D.build_env(pf)
+
+
+THROUGH = "  node a : w\n  wire bound.in[0] -> a.in[0]\n  wire a.out[0] -> bound.out[0]\n"
+TWICE = "  node a : w\n  node b : w\n  wire bound.in[0] -> a.in[0]\n  wire a.out[0] -> b.in[0]\n" \
+        "  wire b.out[0] -> bound.out[0]\n"
+
+# Input checks: each row calls a public function with an input it rejects, and names
+# the exception and its message.
+REJECTED = [
+    (lambda: D.evaluate(identity_diagram(THROUGH)[0], {"w": P.identity(Q(3))}), ValueError,
+     "process bound to box 'w' does not match its declared type"),
+    (lambda: D.evaluate(*identity_diagram("  node a : w\n")), ValueError, "node 'a' has an unwired port"),
+    (lambda: D.evaluate(*identity_diagram(TWICE), contraction=D.ContractionPlan([])), ValueError,
+     "contraction plan did not merge the diagram into one component"),
+    (lambda: D.evaluate(*identity_diagram("  wire bound.in[0] -> bound.out[0]\n")), ValueError,
+     "boundary wire bound.in[0] -> bound.out[0] has no typed endpoint"),
+    # a.out[0] feeds two boundary wires; the first is left with no node to hold it
+    (lambda: D.evaluate(*identity_diagram(THROUGH + "  wire a.out[0] -> bound.out[1]\n")), ValueError,
+     "evaluation did not leave exactly the boundary wires open"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REJECTED)
+def test_rejected_input_raises_its_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 

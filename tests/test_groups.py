@@ -341,3 +341,26 @@ class TestQPartMembership:
         for _ in range(100):
             v = membership(QPART, P.random_cptp(rng, Q(d), Q(d)), tol=strict)
             assert v.ok, v.reasons
+
+
+# Input checks: each row calls a public function with an input it rejects, and names
+# the exception and its message.
+REJECTED = [
+    (lambda: G.FiniteGroup(2, np.zeros((3, 3))), ValueError, "Cayley table must be 2x2, got (3, 3)"),
+    (lambda: G.FiniteGroup(2, [[0, 1], [1, 1]]).inverse(1), ValueError, "element 1 has no inverse"),
+    (lambda: G.permutation_group([(0, 1, 2), (1, 2, 0)]), ValueError,
+     "permutation list not closed: (1, 2, 0) after (1, 2, 0) = (2, 0, 1)"),
+    (lambda: G.Representation(G.cyclic_group(2), Q(2), (np.eye(2),)), ValueError, "need 2 unitaries, got 1"),
+    (lambda: G.is_intertwiner(P.identity(Q(2)), G.trivial_rep(G.cyclic_group(2), Q(3)),
+                              G.trivial_rep(G.cyclic_group(2), Q(2))),
+     ValueError, "input representation lives on Q(3), process input is Q(2)"),
+    (lambda: G.is_intertwiner(P.identity(Q(2)), G.trivial_rep(G.cyclic_group(2), Q(2)),
+                              G.trivial_rep(G.cyclic_group(2), Q(3))),
+     ValueError, "output representation lives on Q(3), process output is Q(2)"),
+]
+
+@pytest.mark.parametrize("call, exc, message", REJECTED)
+def test_rejected_input_raises_its_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

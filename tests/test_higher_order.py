@@ -105,6 +105,22 @@ REJECTED = [
     (lambda: HO.bend(identity(Q(2)), "out", 1), IndexError,
      "output port 1 out of range for Process[Q(2) -> Q(2)]"),
     (lambda: HO.bend(identity(Q(2)), "up", 0), ValueError, "side must be 'in' or 'out', got 'up'"),
+    (lambda: HO.HigherOrderMap(identity(Q(2)), (), ("future",)), ValueError,
+     "one input role per input factor required"),
+    (lambda: HO.HigherOrderMap(identity(Q(2)), ("past",), ()), ValueError,
+     "one output role per output factor required"),
+    (lambda: HO.HigherOrderMap(identity(Q(2)), ("future",), ("future",)), ValueError,
+     "invalid input role 'future'; expected one of ('past', 'a-out', 'b-out')"),
+    (lambda: HO.HigherOrderMap(identity(Q(2)), ("past",), ("past",)), ValueError,
+     "invalid output role 'past'; expected one of ('a-in', 'b-in', 'future')"),
+    (lambda: HO.apply_process_matrix(
+        HO.realize_process_matrix(HO.ordered_process_channel(Q(2), Q(2), Q(2)), ROLES_IN, ROLES_OUT),
+        P.random_cptp(np.random.default_rng(0), Q(2), Q(3)), identity(Q(2))),
+     ValueError, "slot a expects output starting with Q(2), got Q(3)"),
+    # g1's second output is the memory that g2's second input must match
+    (lambda: HO.circuit_form_channel(P.random_cptp(np.random.default_rng(0), Q(2), Q(2) * Q(2)),
+                                     P.random_cptp(np.random.default_rng(1), Q(2) * Q(3), Q(2)), identity(Q(2))),
+     P.ProcessTypeError, "memory Q(2) does not match the input of Process[Q(2) * Q(3) -> Q(2)]"),
 ]
 
 

@@ -167,6 +167,25 @@ def test_min_eigenvalue_of_kron_psd():
         assert lhs == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
+def test_mats_close_of_different_shapes_is_false():
+    assert mats_close(np.eye(2), np.eye(3)) is False
+
+
+# Input checks: each row calls a public function with an input it rejects, and names
+# the exception and its message.
+REJECTED = [
+    (lambda: partial_trace(np.eye(1), [1, 0], {0}), DimensionMismatchError, "factor 1 has nonpositive dimension 0"),
+    (lambda: min_eigenvalue_hermitian(np.zeros((2, 3))), DimensionMismatchError, "expected square matrix, got (2, 3)"),
+    (lambda: min_eigenvalue_hermitian(np.zeros((0, 0))), DimensionMismatchError, "empty matrix has no eigenvalues"),
+]
+
+@pytest.mark.parametrize("call, exc, message", REJECTED)
+def test_rejected_input_raises_its_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_tolerances_validate():
     t = Tolerances()
     assert t.zero_abs == 1e-12 and t.eq_rel == 1e-9 and t.psd_rel == 1e-9
@@ -238,6 +257,16 @@ def test_a_nan_entry_passes_no_verdict():
     pairs = [f"homomorphism fails at pair {p}" for p in ((0, 1), (1, 0), (1, 1))]
     assert G.validate_representation(rep) == ["element 1 does not act unitarily", *pairs]
     assert G.is_intertwiner(P.identity(Q(2)), rep, rep) is False
+
+
+def test_an_infinite_residual_passes_no_verdict():
+    assert (within(np.inf, 1e-9), within(np.inf, 1e-9, np.inf), within(np.inf, np.inf)) == (False, False, False)
+    assert (within(1e300, np.inf), within(0.0, np.inf, np.inf)) == (True, True)  # a finite one still can
+    assert mats_close([[np.inf]], [[0]]) is False
+    assert mats_close([[1e300]], [[0]], Tolerances(eq_rel=np.inf)) is True
+    # a trusted composite that overflowed: discarding its outputs leaves inf, never the discard
+    overflowed = P.ProcessTensor._trusted(Q(2), Q(2), np.full((4, 4), np.inf))
+    assert P.is_causal(overflowed) is False
 
 
 def test_a_residual_exactly_at_the_bound_is_within_it():

@@ -489,3 +489,30 @@ class TestScalarTolerance:
         with pytest.raises(ValueError, match="nonnegative"):
             as_scalar(tiny, Tolerances(zero_abs=1e-14))
         assert P.Scalar(-1e-3, Tolerances(zero_abs=1e-2)).value == 0.0
+
+
+# Input checks: each row calls a public function with an input it rejects, and names
+# the exception and its message.
+REJECTED = [
+    (lambda: channel_from_kraus([np.eye(3)], Q(2), Q(2)), ProcessTypeError,
+     "Kraus operator shape (3, 3), expected (2, 2)"),
+    (lambda: apply(identity(Q(2)), np.eye(3)), ProcessTypeError, "operator shape (3, 3) does not match input dim 2"),
+    # the output runs past the input it feeds, so no factor pair mismatches and the first extra one is named
+    (lambda: compose_seq(identity(Q(2)), identity(Q(2) * Q(2))), ProcessTypeError,
+     "cannot compose Process[Q(2) -> Q(2)] after Process[Q(2) * Q(2) -> Q(2) * Q(2)]: "
+     "factor 1 mismatch (missing vs missing)"),
+    (lambda: measurement_channel([np.eye(2)], Q(2), C(2)), ProcessTypeError,
+     "1 POVM elements for outcome wire of size 2"),
+    (lambda: classical_channel(np.eye(3), C(2), C(2)), ProcessTypeError, "kernel shape (3, 3), expected (2, 2)"),
+    # systems
+    (lambda: WireFactor("x", 2), ValueError, "unknown wire kind 'x'"),
+    (lambda: WireFactor(QUANTUM, 0), ValueError, "wire dimension must be >= 1, got 0"),
+    (lambda: WireFactor(QUANTUM, 2, "sideways"), ValueError, "unknown orientation 'sideways'"),
+    (lambda: SystemType((2,)), TypeError, "SystemType factors must be WireFactor, got <class 'int'>"),
+]
+
+@pytest.mark.parametrize("call, exc, message", REJECTED)
+def test_rejected_input_raises_its_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

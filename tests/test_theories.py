@@ -130,6 +130,13 @@ class TestNormalization:
         assert T.normalization_scalar(z).value == 0.0
 
 
+    def test_a_nan_value_has_no_weight_and_no_class(self):
+        # the value of a closed wiring that overflowed: NaN, never the zero class
+        nan = ProcessTensor._trusted(TRIVIAL, TRIVIAL, np.array([[np.nan]]))
+        for fn in (T.normalization_scalar, T.canonical_rep):
+            with pytest.raises(ValueError, match="^scalar must be finite and nonnegative, got nan$"):
+                fn(nan)
+
 class TestBullet:
     def test_renormalizes_distribution(self):
         rho = state(np.diag([0.75, 0.25]), Q(2))
